@@ -1,26 +1,17 @@
-(* [chase-smoke] — parallel-chase smoke benchmark: runs a set of chase
-   workloads at domains = 1 and domains = N, checks the outputs are
-   byte-identical, and writes BENCH_chase.json with wall-clock,
-   speedup and facts/sec per section.
-
-   The headline workload ("fanout-joins") is built for the fan-out: 8
-   independent 4-atom cyclic joins whose match phase dwarfs the
-   sequential insert phase.  The recursive workloads (control chains,
-   debt cascades) have small per-round deltas and mostly measure that
-   the parallel protocol does not regress them. *)
+(* [chase-smoke] — chase smoke benchmark: measures the engine's fast
+   paths against the cold chase they must equal (budget and
+   observability overhead, incremental maintenance, the goal-directed
+   query lane, snapshot/restore) plus a hash-index microbenchmark,
+   writes BENCH_chase.json, and fails if any fast path diverges. *)
 
 open Ekg_datalog
 open Ekg_apps
 open Ekg_datagen
 
-let domains_n = 4
-let reps = 2
-
 (* A synthetic workload of [preds] independent cyclic joins:
    ri: ei(X,Y), ei(Y,Z), ei(Z,W), ei(W,X) -> cyci(X).
    Each rule enumerates a large intermediate join for a small result
-   set, and no rule feeds another, so round one carries [preds]
-   balanced parallel tasks. *)
+   set, and no rule feeds another. *)
 let fanout_source ~preds ~nodes ~edges =
   let rng = Ekg_kernel.Prng.create 2025 in
   let buf = Buffer.create (preds * edges * 24) in
@@ -58,7 +49,6 @@ let workloads () =
     fanout_workload ~preds:8 ~nodes:140 ~edges:1400 ()
   in
   let chain = Owners.chain rng ~hops:40 in
-  let cascade = Debts.dual_cascade rng ~depth:30 in
   [
     { w_name = "fanout-joins"; program = fanout_program; edb = fanout_edb };
     {
@@ -66,40 +56,7 @@ let workloads () =
       program = Company_control.program;
       edb = chain.Owners.edb;
     };
-    {
-      w_name = "stress-cascade-30";
-      program = Stress_test.program;
-      edb = cascade.Debts.edb;
-    };
   ]
-
-let run_once ~domains w =
-  let t0 = Unix.gettimeofday () in
-  let result = Ekg_engine.Chase.run_exn ~domains w.program w.edb in
-  (result, Unix.gettimeofday () -. t0)
-
-let best ~domains w =
-  let rec go n ((_, best_s) as acc) =
-    if n = 0 then acc
-    else
-      let (_, wall) as run = run_once ~domains w in
-      go (n - 1) (if wall < best_s then run else acc)
-  in
-  go (reps - 1) (run_once ~domains w)
-
-(* the full externally visible output: facts, ids, provenance and the
-   chase graph — byte equality here is the determinism contract *)
-let fingerprint (result : Ekg_engine.Chase.result) =
-  Ekg_engine.Io.result_to_json result ^ Ekg_engine.Export.chase_graph_dot result
-
-type section_out = {
-  s_name : string;
-  derived : int;
-  rounds : int;
-  wall_1 : float;
-  wall_n : float;
-  identical : bool;
-}
 
 (* --- admission-control overhead --------------------------------------------
 
@@ -318,13 +275,15 @@ let incremental_maintenance w =
     | Error e ->
       failwith ("chase-smoke: incremental: " ^ Ekg_engine.Chase.error_to_string e)
   in
-  let res, cold_s = run_once ~domains:1 w in
+  let t0 = Unix.gettimeofday () in
+  let res = Ekg_engine.Chase.run_exn w.program w.edb in
+  let cold_s = Unix.gettimeofday () -. t0 in
   let base_fp = Ekg_engine.Database.fingerprint res.Ekg_engine.Chase.db in
   let t0 = Unix.gettimeofday () in
   let res_add, _ = exn (Ekg_engine.Chase.add_facts w.program res adds) in
   let add_s = Unix.gettimeofday () -. t0 in
   let cold_grown =
-    Ekg_engine.Chase.run_exn ~domains:1 w.program (w.edb @ List.rev adds)
+    Ekg_engine.Chase.run_exn w.program (w.edb @ List.rev adds)
   in
   let grown_ok =
     Ekg_engine.Database.fingerprint res_add.Ekg_engine.Chase.db
@@ -411,7 +370,7 @@ let persistence_bench dir =
       in
       let edb = persist_edb rng app in
       let program = pipeline.Ekg_core.Pipeline.program in
-      let chase () = Ekg_engine.Chase.run_exn ~domains:1 program edb in
+      let chase () = Ekg_engine.Chase.run_exn program edb in
       (* chase, snapshot and restore all take the best of the same
          number of samples so the comparison is symmetric *)
       let preps = 5 and batch = 3 in
@@ -542,7 +501,7 @@ let query_lane_bench () =
           failwith
             ("chase-smoke: query-lane: " ^ Ekg_engine.Chase.error_to_string e)
       in
-      let run_full () = Ekg_engine.Chase.run_exn ~domains:1 program edb in
+      let run_full () = Ekg_engine.Chase.run_exn program edb in
       let qr = run_query () in
       let full = run_full () in
       (* identity gate: lane answers == filtering the full materialization *)
@@ -596,27 +555,10 @@ let query_lane_bench () =
         Atom.make "closeLink" [ Term.str link_head; Term.var "X" ] );
     ]
 
-(* --- join core --------------------------------------------------------------
+(* --- hash-index microbenchmark --------------------------------------------
 
-   The columnar hash-join engine (PR 8) against the nested-loop
-   baseline it replaced, single-threaded — the speedup is pure
-   engine-core improvement, no parallelism involved.  Gated on the two
-   engines producing byte-identical output (facts, ids, provenance,
-   chase graph), and accompanied by a build/probe microbenchmark over
-   the columnar storage itself. *)
-
-type join_section = {
-  jw_name : string;
-  j_derived : int;
-  j_nested_s : float;
-  j_hash_s : float;
-  j_identical : bool;
-}
-
-(* "fanout-joins" wall at domains=1 recorded in BENCH_chase.json by the
-   posting-list engine before this release (PR 7, commit 075b8f3) — the
-   fixed reference the join-core acceptance gate compares against. *)
-let pr7_baseline_wall_s = 1.337615
+   Index build over a 2-column group, then point probes on the first
+   column: the storage-layer costs every chase round pays. *)
 
 type join_micro = {
   jm_rows : int;
@@ -625,51 +567,8 @@ type join_micro = {
   jm_probe_ns : float;   (* per hash + probe + bucket-length read *)
 }
 
-let join_bench () =
+let join_micro () =
   let open Ekg_engine in
-  let xl_program, xl_edb =
-    (* the larger instance: fewer rules, denser graph (fan-out 15), so
-       the intermediate join is ~7x the headline workload's per rule *)
-    fanout_workload ~preds:4 ~nodes:200 ~edges:3000 ()
-  in
-  let sections =
-    List.map
-      (fun (name, program, edb) ->
-        (* best of [reps + 1] runs per engine, like the parallel
-           sections: the identity check wants any run's output, the
-           wall-clock wants the least load-noise *)
-        let timed strategy =
-          let once () =
-            let t0 = Unix.gettimeofday () in
-            let r = Chase.run_exn ~domains:1 ~join:strategy program edb in
-            (r, Unix.gettimeofday () -. t0)
-          in
-          let rec go n ((_, best_s) as acc) =
-            if n = 0 then acc
-            else
-              let (_, wall) as run = once () in
-              go (n - 1) (if wall < best_s then run else acc)
-          in
-          go reps (once ())
-        in
-        let rn, nested_s = timed Matcher.Nested in
-        let rh, hash_s = timed Matcher.Hash in
-        {
-          jw_name = name;
-          j_derived = rh.Chase.derived_count;
-          j_nested_s = nested_s;
-          j_hash_s = hash_s;
-          j_identical = fingerprint rn = fingerprint rh;
-        })
-      [
-        (let p, e = fanout_workload ~preds:8 ~nodes:140 ~edges:1400 () in
-         ("fanout-joins", p, e));
-        ("fanout-joins-xl", xl_program, xl_edb);
-      ]
-  in
-  (* microbenchmark: index build over a 2-column group, then point
-     probes on the first column — the storage-layer costs every chase
-     round pays *)
   let rows = 100_000 in
   let db = Database.create () in
   let rng = Ekg_kernel.Prng.create 4242 in
@@ -703,44 +602,11 @@ let join_bench () =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int probes
   in
   assert (!hits > 0);
-  ( sections,
-    { jm_rows = rows; jm_build_ms = build_ms; jm_probes = probes; jm_probe_ns = probe_ns } )
+  { jm_rows = rows; jm_build_ms = build_ms; jm_probes = probes; jm_probe_ns = probe_ns }
 
-let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections =
-  let join_sections, micro = joins in
+let json_out ~overhead ~obs ~incr ~persist ~micro ~qlane =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_compared\": [1, %d],\n" domains_n);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  let headline =
-    List.fold_left
-      (fun acc s -> max acc (s.wall_1 /. s.wall_n))
-      0. sections
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"headline_speedup\": %.3f,\n" headline);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"deterministic\": %b,\n"
-       (List.for_all (fun s -> s.identical) sections));
-  Buffer.add_string buf "  \"sections\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"derived_facts\": %d, \"rounds\": %d, \
-            \"wall_s_domains1\": %.6f, \"wall_s_domains%d\": %.6f, \
-            \"speedup\": %.3f, \"facts_per_sec_domains%d\": %.0f, \
-            \"identical_output\": %b}%s\n"
-           s.s_name s.derived s.rounds s.wall_1 domains_n s.wall_n
-           (s.wall_1 /. s.wall_n) domains_n
-           (float_of_int s.derived /. s.wall_n)
-           s.identical
-           (if i = List.length sections - 1 then "" else ",")))
-    sections;
-  Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  \"admission_overhead\": {\"workload\": \"control-chain-40\", \
@@ -783,54 +649,11 @@ let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections =
        (if incr.i_retract_ms > 0. then incr.i_cold_ms /. incr.i_retract_ms
         else 0.)
        incr.i_identical);
-  let headline_join =
-    try List.find (fun j -> j.jw_name = "fanout-joins") join_sections
-    with Not_found -> List.hd join_sections
-  in
-  Buffer.add_string buf "  \"join_core\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"engines_identical\": %b,\n"
-       (List.for_all (fun j -> j.j_identical) join_sections));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"headline_speedup_vs_nested\": %.2f,\n"
-       (headline_join.j_nested_s /. headline_join.j_hash_s));
-  (* fanout-joins wall at domains=1 as committed by the previous
-     release's BENCH_chase.json — the baseline the acceptance gate
-     compares against.  The nested engine in this binary is already
-     faster than that baseline (its insert path shares this PR's
-     provenance and head-instantiation optimisations), so the
-     vs-nested ratio above understates the release-over-release win. *)
-  Buffer.add_string buf
-    (Printf.sprintf "    \"pr7_baseline_wall_s\": %.6f,\n" pr7_baseline_wall_s);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"headline_speedup_vs_pr7_baseline\": %.2f,\n"
-       (pr7_baseline_wall_s /. headline_join.j_hash_s));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"speedup_at_least_5x\": %b,\n"
-       (pr7_baseline_wall_s /. headline_join.j_hash_s >= 5.));
-  Buffer.add_string buf "    \"workloads\": [\n";
-  List.iteri
-    (fun i j ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"name\": %S, \"derived_facts\": %d, \
-            \"wall_s_nested\": %.6f, \"wall_s_hash\": %.6f, \
-            \"speedup\": %.2f, \"facts_per_sec_nested\": %.0f, \
-            \"facts_per_sec_hash\": %.0f, \"identical_output\": %b}%s\n"
-           j.jw_name j.j_derived j.j_nested_s j.j_hash_s
-           (j.j_nested_s /. j.j_hash_s)
-           (float_of_int j.j_derived /. j.j_nested_s)
-           (float_of_int j.j_derived /. j.j_hash_s)
-           j.j_identical
-           (if i = List.length join_sections - 1 then "" else ",")))
-    join_sections;
-  Buffer.add_string buf "    ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "    \"micro\": {\"rows\": %d, \"index_build_ms\": %.3f, \
-        \"probes\": %d, \"probe_ns\": %.1f}\n"
+       "  \"join_micro\": {\"rows\": %d, \"index_build_ms\": %.3f, \
+        \"probes\": %d, \"probe_ns\": %.1f},\n"
        micro.jm_rows micro.jm_build_ms micro.jm_probes micro.jm_probe_ns);
-  Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"query_lane\": {\n";
   Buffer.add_string buf
     (Printf.sprintf "    \"identity\": %b,\n"
@@ -883,28 +706,7 @@ let json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections =
 
 let run () =
   Bench_util.section "chase-smoke"
-    "Parallel chase: domains=1 vs domains=N wall-clock + determinism";
-  let sections =
-    List.map
-      (fun w ->
-        let r1, wall_1 = best ~domains:1 w in
-        let rn, wall_n = best ~domains:domains_n w in
-        let identical = fingerprint r1 = fingerprint rn in
-        Printf.printf
-          "  %-20s d=1 %8.3f ms   d=%d %8.3f ms   speedup %5.2fx   %s\n"
-          w.w_name (wall_1 *. 1000.) domains_n (wall_n *. 1000.)
-          (wall_1 /. wall_n)
-          (if identical then "bit-identical" else "OUTPUT DIVERGED");
-        {
-          s_name = w.w_name;
-          derived = r1.Ekg_engine.Chase.derived_count;
-          rounds = r1.Ekg_engine.Chase.rounds;
-          wall_1;
-          wall_n;
-          identical;
-        })
-      (workloads ())
-  in
+    "Chase fast paths vs cold chase: overhead, incremental, query lane, restore";
   let overhead =
     let w =
       List.find (fun w -> w.w_name = "control-chain-40") (workloads ())
@@ -942,28 +744,12 @@ let run () =
       (if i.i_identical then "matches cold chase" else "STATE DIVERGED");
     i
   in
-  let joins =
-    let js, micro = join_bench () in
-    List.iter
-      (fun j ->
-        Printf.printf
-          "  %-20s nested %8.3f ms   hash %8.3f ms   speedup %5.2fx   %s\n"
-          j.jw_name (j.j_nested_s *. 1000.) (j.j_hash_s *. 1000.)
-          (j.j_nested_s /. j.j_hash_s)
-          (if j.j_identical then "byte-identical" else "OUTPUT DIVERGED"))
-      js;
+  let micro =
+    let m = join_micro () in
     Printf.printf
       "  %-20s build %8.3f ms / %d rows   probe %6.1f ns (%d probes)\n"
-      "join-micro" micro.jm_build_ms micro.jm_rows micro.jm_probe_ns
-      micro.jm_probes;
-    (try
-       let h = List.find (fun j -> j.jw_name = "fanout-joins") js in
-       Printf.printf
-         "  %-20s hash %8.3f ms vs PR-7 baseline %8.3f ms   speedup %5.2fx\n"
-         "join-vs-baseline" (h.j_hash_s *. 1000.) (pr7_baseline_wall_s *. 1000.)
-         (pr7_baseline_wall_s /. h.j_hash_s)
-     with Not_found -> ());
-    (js, micro)
+      "join-micro" m.jm_build_ms m.jm_rows m.jm_probe_ns m.jm_probes;
+    m
   in
   let qlane =
     let qs = query_lane_bench () in
@@ -997,13 +783,8 @@ let run () =
   in
   let path = "BENCH_chase.json" in
   Bench_util.write_file_atomic path
-    (json_out ~overhead ~obs ~incr ~persist ~joins ~qlane sections);
-  Printf.printf "  wrote %s (machine reports %d recommended domains)\n" path
-    (Domain.recommended_domain_count ());
-  if not (List.for_all (fun s -> s.identical) sections) then
-    failwith "chase-smoke: parallel output diverged from sequential";
-  if not (List.for_all (fun j -> j.j_identical) (fst joins)) then
-    failwith "chase-smoke: hash-join output diverged from nested-loop";
+    (json_out ~overhead ~obs ~incr ~persist ~micro ~qlane);
+  Printf.printf "  wrote %s\n" path;
   if not incr.i_identical then
     failwith "chase-smoke: incremental maintenance diverged from cold chase";
   if not (List.for_all (fun p -> p.p_identical) persist) then

@@ -9,7 +9,7 @@
 open Cmdliner
 open Ekg_server
 
-let run host port domains chase_domains root preload fault queue_high_water
+let run host port domains root preload fault queue_high_water
     default_deadline_ms max_deadline_ms store_dir snapshot_mode
     max_hot_sessions log_level log_file slowlog_threshold_ms =
   (* the --fault flag wins over the EKG_FAULT environment variable *)
@@ -40,7 +40,7 @@ let run host port domains chase_domains root preload fault queue_high_water
     1
   | Ok log ->
   let state =
-    Router.make_state ~root ~chase_domains ~fault
+    Router.make_state ~root ~fault
       ~default_deadline_ms:(float_of_int default_deadline_ms)
       ~max_deadline_ms:(float_of_int max_deadline_ms) ?store ~snapshot_mode
       ~max_hot_sessions ~log ()
@@ -94,7 +94,7 @@ let run host port domains chase_domains root preload fault queue_high_water
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      (* background sampler: GC gauges, chase/server pool utilization,
+      (* background sampler: GC gauges, server pool utilization,
          snapshotter queue depth — the live side of /v1/debug/runtime *)
       Ekg_obs.Runtime.start (Router.runtime state);
       Fmt.pr "ekg-serve: listening on http://%s:%d (%d worker domains, root %s)@."
@@ -138,14 +138,6 @@ let domains_t =
   let doc = "Worker domains serving requests concurrently." in
   let default = min 4 (max 1 (Domain.recommended_domain_count () - 1)) in
   Arg.(value & opt int default & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
-let chase_domains_t =
-  let doc =
-    "Domains the chase fans its per-round match phase over during \
-     session materialization (1 = sequential; results are identical \
-     for every value)."
-  in
-  Arg.(value & opt int 1 & info [ "chase-domains" ] ~docv:"N" ~doc)
 
 let root_t =
   let doc = "Root directory for program_path/facts_dir session specs." in
@@ -238,7 +230,7 @@ let cmd =
   let info = Cmd.info "ekg-serve" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run $ host_t $ port_t $ domains_t $ chase_domains_t $ root_t
+      const run $ host_t $ port_t $ domains_t $ root_t
       $ preload_t $ fault_t $ queue_high_water_t $ default_deadline_ms_t
       $ max_deadline_ms_t $ store_dir_t $ snapshot_mode_t
       $ max_hot_sessions_t $ log_level_t $ log_file_t

@@ -46,16 +46,15 @@ type explanation = {
 
 val reason :
   ?stats:Ekg_obs.Metrics.t ->
-  ?domains:int ->
   ?budget:Chase.budget ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
   t ->
   Atom.t list ->
   (Chase.result, string) result
-(** Run the reasoning task over extensional facts; [stats], [domains]
-    (match-phase parallelism), [budget] (deadline / cancellation) and
-    the tracing arguments are passed through to {!Chase.run}. *)
+(** Run the reasoning task over extensional facts; [stats], [budget]
+    (deadline / cancellation) and the tracing arguments are passed
+    through to {!Chase.run}. *)
 
 val incrementable : t -> bool
 (** Whether {!add_facts} / {!retract_facts} can maintain a
@@ -63,7 +62,6 @@ val incrementable : t -> bool
     re-chasing from scratch ({!Chase.incrementable}). *)
 
 val add_facts :
-  ?domains:int ->
   ?budget:Chase.budget ->
   t ->
   Chase.result ->
@@ -76,7 +74,6 @@ val add_facts :
     only the cached explanations the update could have touched. *)
 
 val retract_facts :
-  ?domains:int ->
   ?budget:Chase.budget ->
   t ->
   Chase.result ->
@@ -186,7 +183,6 @@ type query_result = {
 
 val query :
   ?stats:Ekg_obs.Metrics.t ->
-  ?domains:int ->
   ?budget:Chase.budget ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -198,7 +194,7 @@ val query :
 (** Answer one concrete query atom over the given extensional facts,
     per the pre-computed [specialization].  Never touches a served
     materialization: the magic and full modes each run a private chase
-    (budget/deadline and parallelism arguments pass straight through),
+    (budget/deadline arguments pass straight through),
     and the EDB mode only scans.  A rewritten program that fails to
     stratify falls back to the full mode transparently, recorded in
     [q_fallback]. *)

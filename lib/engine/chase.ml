@@ -26,9 +26,7 @@ type stats = {
   rounds_per_stratum : int list;
   agg_superseded : int;
   wall_s : float;
-  domains : int;
   plan_reorders : int;
-  join_strategy : string;
   join_builds : int;
   join_probe_hits : int;
 }
@@ -121,10 +119,9 @@ let isomorphic_exists st ~existentials (r : Rule.t) binding =
     List.exists homomorphic (Database.active st.db (Rule.head_pred r))
   end
 
-(* Phase 2 of a round: admit one plain rule's matches, in match order.
-   Runs strictly sequentially — this is the only place fact ids,
-   labelled nulls and provenance records are allocated, which is why
-   the parallel match phase cannot perturb them. *)
+(* The insert phase of a round: admit one plain rule's matches, in
+   match order.  This is the only place fact ids, labelled nulls and
+   provenance records are allocated for plain rules. *)
 (* [used_facts] is usually already strictly ascending (body atoms often
    match facts in insertion order); detect that without allocating
    before falling back to a sort *)
@@ -168,8 +165,7 @@ let insert_plain_matches st ~round (r : Rule.t) matches =
             Some f.Fact.id))
     matches
 
-let apply_agg_rule st ~round ?interrupt ?plan (r : Rule.t) =
-  let groups = Matcher.match_agg_rule ?interrupt ?plan st.db r in
+let insert_agg_groups st ~round (r : Rule.t) groups =
   let existentials = Rule.existential_vars r in
   List.filter_map
     (fun (g : Matcher.agg_result) ->
@@ -302,9 +298,9 @@ type rule_acc = {
   mutable acc_time : float;
   mutable acc_evals : int;
   mutable acc_facts : int;
-  mutable acc_build : float;   (* sequential index preparation *)
-  mutable acc_probe : float;   (* match-phase thunk time, summed over tasks *)
-  mutable acc_insert : float;  (* sequential insertion *)
+  mutable acc_build : float;   (* index preparation *)
+  mutable acc_probe : float;   (* match phase: probe, plus grouping for aggregates *)
+  mutable acc_insert : float;  (* insertion *)
 }
 
 let push_stats sink ~rounds ~derived (s : stats) =
@@ -318,13 +314,11 @@ let push_stats sink ~rounds ~derived (s : stats) =
     "ekg_chase_agg_superseded_total" (float_of_int s.agg_superseded);
   Metrics.add sink ~help:"Chase wall-clock seconds" "ekg_chase_seconds_total"
     s.wall_s;
-  Metrics.set sink ~help:"Domains used by the most recent chase"
-    "ekg_chase_domains" (float_of_int s.domains);
   Metrics.add sink
     ~help:"Join plans that deviated from textual body order"
     "ekg_chase_plan_reorders_total" (float_of_int s.plan_reorders);
   Metrics.add sink
-    ~help:"Hash-join indexes built or extended during round planning"
+    ~help:"Hash-join indexes built or extended before match phases"
     "ekg_chase_join_builds_total" (float_of_int s.join_builds);
   Metrics.add sink
     ~help:"Matches emitted by the join probe phase"
@@ -348,25 +342,19 @@ let push_stats sink ~rounds ~derived (s : stats) =
         "ekg_chase_rule_facts_total" (float_of_int r.facts))
     s.per_rule
 
-(* Round protocol (identical for domains = 1 and domains = n, which is
-   what makes the parallel chase bit-identical to the sequential one):
+(* Round protocol:
 
    1. {e Plan}: recompile every rule's join plan from the live
-      cardinalities — sequential, deterministic.
+      cardinalities, and ensure the indexes the plain rules will probe.
    2. {e Match}: evaluate every plain rule (every semi-naive seed pass)
-      against the immutable pre-round database.  Tasks are pure reads
-      and may execute on any domain in any order; results are
-      recombined by task index.
-   3. {e Insert}: admit the matches sequentially in rule order, then
-      run aggregate rules sequentially.  All fact ids, nulls and
-      provenance records are allocated here, in a schedule-independent
-      order. *)
-let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
-    ?(budget = unlimited) ?join ?stats ?obs ?parent (program : Program.t) edb =
-  let strategy =
-    match join with Some s -> s | None -> Matcher.strategy_of_env ()
-  in
-  let partitions = max 1 domains in
+      against the pre-round database.
+   3. {e Insert}: admit the matches in rule order, then run aggregate
+      rules one by one, each ensuring its indexes, matching and
+      inserting in turn, so it sees the round's earlier insertions.
+      All fact ids, nulls and provenance records are allocated here, in
+      this fixed order. *)
+let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited)
+    ?stats ?obs ?parent (program : Program.t) edb =
   match Program.validate program with
   | Error es -> Error (Invalid_program es)
   | Ok () -> (
@@ -412,18 +400,16 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
         let overflow = ref false in
         let plan_reorders = ref 0 in
         let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
-        (* Budget machinery.  [stop] is the one flag every domain
-           agrees on: the first check that trips it wins, and both the
-           round loop and the in-match interrupt hook observe it.  When
-           no budget is set, the per-round check is four [None]
-           matches and the matcher hook is absent — the unlimited run
-           is instruction-identical to the pre-budget engine. *)
-        let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option Atomic.t
-            =
-          Atomic.make None
+        (* Budget machinery.  [stop] is the one flag both the round
+           loop and the in-match interrupt hook observe: the first
+           check that trips it wins.  When no budget is set, the
+           per-round check is four [None] matches and the matcher hook
+           is absent, so the unlimited run does no budget work. *)
+        let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option ref =
+          ref None
         in
         let trip r =
-          ignore (Atomic.compare_and_set stop None (Some r));
+          if !stop = None then stop := Some r;
           true
         in
         let poll_cancel () =
@@ -435,7 +421,7 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
           | None -> false
         in
         let check_budget () =
-          Atomic.get stop <> None
+          !stop <> None
           ||
           if poll_cancel () then trip `Cancelled
           else if past_deadline () then trip `Deadline
@@ -452,15 +438,14 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
           else false
         in
         (* Polled once per join node; the clock and cancel hook are
-           only consulted every 4096 nodes, so a hot join pays an
-           atomic read (and a racy-but-benign counter bump) per node. *)
+           only consulted every 4096 nodes. *)
         let interrupt =
           if budget.deadline_s = None && Option.is_none budget.cancel then None
           else begin
             let tick = ref 0 in
             Some
               (fun () ->
-                Atomic.get stop <> None
+                !stop <> None
                 || begin
                      incr tick;
                      !tick land 4095 = 0
@@ -475,7 +460,7 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
         let round_log = ref [] in  (* round_stat, reverse execution order *)
         let join_builds = ref 0 in
         let join_probe_hits = ref 0 in
-        let run_stratum pool si rules =
+        let run_stratum si rules =
           let plain = List.filter (fun r -> not (Rule.has_agg r)) rules in
           let agg = List.filter Rule.has_agg rules in
           let with_acc rs =
@@ -502,20 +487,44 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
           in
           let plain = with_acc plain in
           let agg = with_acc agg in
-          let charge acc dt nfacts =
+          let now () = if collect then Ekg_obs.Clock.now_s () else 0. in
+          (* [time_s] is match plus insert time; [evals] counts insert
+             phases, one per round *)
+          let charge_build acc t0 n =
+            if collect then begin
+              join_builds := !join_builds + n;
+              match acc with
+              | Some a ->
+                a.acc_build <- a.acc_build +. (Ekg_obs.Clock.now_s () -. t0)
+              | None -> ()
+            end
+          in
+          let charge_probe acc dt matches =
+            if collect then begin
+              join_probe_hits := !join_probe_hits + List.length matches;
+              match acc with
+              | Some a ->
+                a.acc_probe <- a.acc_probe +. dt;
+                a.acc_time <- a.acc_time +. dt
+              | None -> ()
+            end
+          in
+          let charge_insert acc t0 nfacts =
             match acc with
-            | None -> ()
-            | Some a ->
+            | Some a when collect ->
+              let dt = Ekg_obs.Clock.now_s () -. t0 in
+              a.acc_insert <- a.acc_insert +. dt;
               a.acc_time <- a.acc_time +. dt;
               a.acc_evals <- a.acc_evals + 1;
               a.acc_facts <- a.acc_facts + nfacts
+            | Some _ | None -> ()
           in
           (* [None] means "first round": evaluate in full.  The delta
              carries its length, so per-round stats are O(1) instead of
              a [List.length] walk over the whole delta every round. *)
           let delta = ref None in
           let continue = ref true in
-          while !continue && not !overflow && Atomic.get stop = None do
+          while !continue && not !overflow && !stop = None do
             if budget_active && check_budget () then ()
             else begin
               incr total_rounds;
@@ -524,7 +533,7 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
                 try
               stratum_rounds.(si) <- stratum_rounds.(si) + 1;
               let round = !total_rounds in
-              let round_t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
+              let round_t0 = now () in
               let delta_size =
                 match !delta with None -> 0 | Some (_, n) -> n
               in
@@ -554,104 +563,52 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
               in
               let plain = planned plain in
               let agg = planned agg in
-              (* sequential index preparation: extend the hash indexes
-                 the round's probes will use, before any task may run.
-                 Still part of the plan phase — [ensure_index] mutates
-                 the database, match tasks only read it. *)
               List.iter
                 (fun (r, acc, plan) ->
-                  let t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
-                  let n = Matcher.prepare ~strategy st.db r plan in
-                  if collect then begin
-                    join_builds := !join_builds + n;
-                    match acc with
-                    | Some a ->
-                      a.acc_build <- a.acc_build +. (Ekg_obs.Clock.now_s () -. t0)
-                    | None -> ()
-                  end)
+                  let t0 = now () in
+                  charge_build acc t0 (Matcher.prepare st.db r plan))
                 plain;
-              (* phase 1: match all plain rules against the pre-round db *)
-              let rule_tasks =
+              (* match every plain rule against the pre-round db *)
+              let matched =
                 List.map
                   (fun (r, acc, plan) ->
-                    let thunks =
-                      match delta_filter with
-                      | None ->
-                        Matcher.full_tasks ~strategy ?interrupt ~plan
-                          ~partitions st.db r
-                      | Some d ->
-                        Matcher.delta_tasks ~strategy ?interrupt ~plan
-                          ~partitions ~delta:d st.db r
+                    let t0 = now () in
+                    let ms =
+                      Matcher.match_rule ?interrupt ?delta:delta_filter ~plan
+                        st.db r
                     in
-                    let thunks =
-                      if not collect then List.map (fun t () -> (0., t ())) thunks
-                      else
-                        List.map
-                          (fun t () ->
-                            let t0 = Ekg_obs.Clock.now_s () in
-                            let out = t () in
-                            (Ekg_obs.Clock.now_s () -. t0, out))
-                          thunks
-                    in
-                    (r, acc, thunks))
+                    (r, acc, ms, now () -. t0))
                   plain
               in
-              let flat =
-                Array.of_list
-                  (List.concat_map (fun (_, _, ts) -> ts) rule_tasks)
-              in
-              let results =
-                match pool with
-                | Some p when Array.length flat > 1 -> Par.map p flat
-                | _ -> Array.map (fun t -> t ()) flat
-              in
-              (* phase 2: insert sequentially, in rule then task order *)
+              (* then insert, in rule order *)
               let added = ref [] in
               let added_count = ref 0 in
-              let cursor = ref 0 in
+              let admit acc t0 out =
+                let n = List.length out in
+                charge_insert acc t0 n;
+                added_count := !added_count + n;
+                added := List.rev_append out !added
+              in
               List.iter
-                (fun (r, acc, thunks) ->
-                  let match_time = ref 0. in
-                  let rev_matches = ref [] in
-                  List.iter
-                    (fun _ ->
-                      let dt, out = results.(!cursor) in
-                      incr cursor;
-                      match_time := !match_time +. dt;
-                      rev_matches := out :: !rev_matches)
-                    thunks;
-                  let matches = List.concat (List.rev !rev_matches) in
-                  let t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
-                  let out = insert_plain_matches st ~round r matches in
-                  let dt =
-                    if collect then Ekg_obs.Clock.now_s () -. t0 else 0.
-                  in
-                  let n = List.length out in
-                  charge acc (!match_time +. dt) n;
-                  if collect then begin
-                    join_probe_hits := !join_probe_hits + List.length matches;
-                    match acc with
-                    | Some a ->
-                      a.acc_probe <- a.acc_probe +. !match_time;
-                      a.acc_insert <- a.acc_insert +. dt
-                    | None -> ()
-                  end;
-                  added_count := !added_count + n;
-                  added := List.rev_append out !added)
-                rule_tasks;
-              (* aggregate rules see the round's plain insertions, as
-                 they always did *)
+                (fun (r, acc, ms, dt) ->
+                  charge_probe acc dt ms;
+                  let t0 = now () in
+                  admit acc t0 (insert_plain_matches st ~round r ms))
+                matched;
+              (* aggregate rules see the round's plain insertions: their
+                 indexes are ensured only now, or the probe would find
+                 them stale and scan *)
               List.iter
                 (fun (r, acc, plan) ->
-                  let t0 = if collect then Ekg_obs.Clock.now_s () else 0. in
-                  let out = apply_agg_rule st ~round ?interrupt ~plan r in
-                  let dt =
-                    if collect then Ekg_obs.Clock.now_s () -. t0 else 0.
-                  in
-                  let n = List.length out in
-                  charge acc dt n;
-                  added_count := !added_count + n;
-                  added := List.rev_append out !added)
+                  let body = Matcher.agg_body r in
+                  let t0 = now () in
+                  charge_build acc t0 (Matcher.prepare st.db body plan);
+                  let t0 = now () in
+                  let ms = Matcher.match_rule ?interrupt ~plan st.db body in
+                  let groups = Matcher.group r ms in
+                  charge_probe acc (now () -. t0) ms;
+                  let t0 = now () in
+                  admit acc t0 (insert_agg_groups st ~round r groups))
                 agg;
               if collect then
                 round_log :=
@@ -674,47 +631,24 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
             end
           done
         in
-        let traced_stratum pool si rules =
-          if Atomic.get stop = None then
-            Ekg_obs.Trace.with_span_opt obs ?parent
-              ~labels:[ ("stratum", string_of_int si) ]
-              "chase.stratum"
-              (fun span ->
-                let busy0 =
-                  match span, pool with
-                  | Some _, Some p -> Some (Par.total_busy_seconds p, Ekg_obs.Clock.now_s ())
-                  | _ -> None
-                in
-                run_stratum pool si rules;
-                match span with
-                | Some sp ->
-                  Ekg_obs.Trace.label sp "rounds"
-                    (string_of_int stratum_rounds.(si));
-                  (match busy0, pool with
-                  | Some (b0, t0), Some p ->
-                    (* worker-utilization labels: busy time across the
-                       pool over the stratum, normalized by elapsed
-                       wall time x pool width — 1.0 means every domain
-                       was matching the whole stratum *)
-                    let busy = Par.total_busy_seconds p -. b0 in
-                    let wall = Float.max 1e-9 (Ekg_obs.Clock.now_s () -. t0) in
-                    let width = float_of_int (Par.domains p) in
-                    Ekg_obs.Trace.label sp "workers"
-                      (string_of_int (Par.domains p));
-                    Ekg_obs.Trace.label sp "worker_busy_ms"
-                      (Printf.sprintf "%.3f" (busy *. 1000.));
-                    Ekg_obs.Trace.label sp "utilization"
-                      (Printf.sprintf "%.3f"
-                         (Float.min 1. (busy /. (wall *. width))))
-                  | _ -> ())
-                | None -> ())
-        in
-        Par.with_pool ~domains (fun pool ->
-            List.iteri (traced_stratum pool) strata);
+        List.iteri
+          (fun si rules ->
+            if !stop = None then
+              Ekg_obs.Trace.with_span_opt obs ?parent
+                ~labels:[ ("stratum", string_of_int si) ]
+                "chase.stratum"
+                (fun span ->
+                  run_stratum si rules;
+                  Option.iter
+                    (fun sp ->
+                      Ekg_obs.Trace.label sp "rounds"
+                        (string_of_int stratum_rounds.(si)))
+                    span))
+          strata;
         let stratum_rounds_list =
           Array.to_list (Array.sub stratum_rounds 0 (List.length strata))
         in
-        match Atomic.get stop with
+        match !stop with
         | Some reason ->
           (* the budget tripped: surface how far the run got so the
              caller can report partial progress (e.g. in a 504 body) *)
@@ -775,9 +709,7 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
                     rounds_per_stratum = stratum_rounds_list;
                     agg_superseded = st.superseded;
                     wall_s = Ekg_obs.Clock.now_s () -. t_start;
-                    domains = max 1 domains;
                     plan_reorders = !plan_reorders;
-                    join_strategy = Matcher.strategy_name strategy;
                     join_builds = !join_builds;
                     join_probe_hits = !join_probe_hits;
                   }
@@ -797,19 +729,13 @@ let run_checked ?(naive = false) ?(domains = 1) ?(max_rounds = 100_000)
               }
         end)))
 
-let run ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent program edb =
-  match
-    run_checked ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent
-      program edb
-  with
+let run ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb =
+  match run_checked ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb with
   | Ok r -> Ok r
   | Error e -> Error (error_to_string e)
 
-let run_exn ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent program
-    edb =
-  match
-    run ?naive ?domains ?max_rounds ?budget ?join ?stats ?obs ?parent program edb
-  with
+let run_exn ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb =
+  match run ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb with
   | Ok r -> r
   | Error e -> failwith ("Chase.run: " ^ e)
 
@@ -906,7 +832,7 @@ let resolve_retractions (res : result) atoms =
 
 (* Full-recompute fallback: rebuild the fact base and cold-chase it.
    Non-destructive — the input result is left untouched. *)
-let rebuild ?domains ?max_rounds ?budget (program : Program.t) (res : result)
+let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
     ~adds ~retract_ids =
   let removed = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.replace removed id ()) retract_ids;
@@ -918,7 +844,7 @@ let rebuild ?domains ?max_rounds ?budget (program : Program.t) (res : result)
       && not (Hashtbl.mem removed id)
     then base := atom_of_fact (Database.fact res.db id) :: !base
   done;
-  match run_checked ?domains ?max_rounds ?budget program (!base @ adds) with
+  match run_checked ?max_rounds ?budget program (!base @ adds) with
   | Error _ as e -> e
   | Ok fresh ->
     (* observable diff for the update report: compare rendered active
@@ -951,11 +877,9 @@ let rebuild ?domains ?max_rounds ?budget (program : Program.t) (res : result)
         } )
 
 (* The incremental pass proper (no aggregation, no existentials). *)
-let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
-    ?(budget = unlimited) (res : result) ~adds ~add_tuples ~retract_ids strata =
+let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited)
+    (res : result) ~adds ~add_tuples ~retract_ids strata =
   let db = res.db and prov = res.prov in
-  let strategy = Matcher.strategy_of_env () in
-  let partitions = max 1 domains in
   let t_start = Ekg_obs.Clock.now_s () in
   let deleted = Hashtbl.create 32 in      (* over-deleted, not yet restored *)
   let deleted_preds = Hashtbl.create 8 in
@@ -1029,15 +953,15 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
         end)
     adds add_tuples;
   (* budget machinery, shared with the match-loop interrupt *)
-  let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option Atomic.t =
-    Atomic.make None
+  let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option ref =
+    ref None
   in
   let trip r =
-    ignore (Atomic.compare_and_set stop None (Some r));
+    if !stop = None then stop := Some r;
     true
   in
   let check_budget () =
-    Atomic.get stop <> None
+    !stop <> None
     ||
     if match budget.cancel with Some f -> f () | None -> false then
       trip `Cancelled
@@ -1064,7 +988,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
       let tick = ref 0 in
       Some
         (fun () ->
-          Atomic.get stop <> None
+          !stop <> None
           || begin
                incr tick;
                !tick land 4095 = 0 && check_budget ()
@@ -1130,7 +1054,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
             end))
       matches
   in
-  let run_stratum pool si rules =
+  let run_stratum si rules =
     (* rules whose negated premises changed: their old conclusions are
        unsupported until proven otherwise *)
     let neg_affected =
@@ -1162,7 +1086,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
     let pending = ref (List.filter (Database.is_active db) !newly_active) in
     let first = ref true in
     let continue = ref true in
-    while !continue && (not !overflow) && Atomic.get stop = None do
+    while !continue && (not !overflow) && !stop = None do
       if check_budget () then ()
       else begin
         let full = if !first then full_rules else [] in
@@ -1190,52 +1114,27 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
                 end
               in
               let card = Database.pred_card db in
-              (* one thunk list per rule, in stratum rule order, exactly
-                 like a cold round: full evaluation for the re-derivation
-                 rules, semi-naive seed passes for the rest *)
-              let rule_tasks =
+              (* one match list per rule, in stratum rule order, all
+                 against the pre-round db, exactly like a cold round:
+                 full evaluation for the re-derivation rules, semi-naive
+                 seed passes for the rest *)
+              let matched =
                 List.filter_map
                   (fun (r : Rule.t) ->
-                    let plan = Plan.compile ~card r in
-                    let evaluated = (!first && List.memq r full)
-                                    || Option.is_some delta_filter in
-                    if evaluated then
-                      ignore (Matcher.prepare ~strategy db r plan);
-                    if !first && List.memq r full then
-                      Some
-                        (r, Matcher.full_tasks ~strategy ?interrupt ~plan
-                              ~partitions db r)
-                    else
-                      match delta_filter with
-                      | Some d ->
-                        Some
-                          (r, Matcher.delta_tasks ~strategy ?interrupt ~plan
-                                ~partitions ~delta:d db r)
-                      | None -> None)
+                    let full_pass = !first && List.memq r full in
+                    if not (full_pass || Option.is_some delta_filter) then None
+                    else begin
+                      let plan = Plan.compile ~card r in
+                      ignore (Matcher.prepare db r plan);
+                      let delta = if full_pass then None else delta_filter in
+                      Some (r, Matcher.match_rule ?interrupt ?delta ~plan db r)
+                    end)
                   rules
               in
-              let flat =
-                Array.of_list (List.concat_map (fun (_, ts) -> ts) rule_tasks)
-              in
-              let results =
-                match pool with
-                | Some p when Array.length flat > 1 -> Par.map p flat
-                | _ -> Array.map (fun t -> t ()) flat
-              in
               let round_delta = ref [] in
-              let cursor = ref 0 in
               List.iter
-                (fun (r, thunks) ->
-                  let rev_matches = ref [] in
-                  List.iter
-                    (fun _ ->
-                      rev_matches := results.(!cursor) :: !rev_matches;
-                      incr cursor)
-                    thunks;
-                  insert_matches ~round r
-                    (List.concat (List.rev !rev_matches))
-                    round_delta)
-                rule_tasks;
+                (fun (r, ms) -> insert_matches ~round r ms round_delta)
+                matched;
               first := false;
               if !round_delta = [] then continue := false
               else begin
@@ -1251,10 +1150,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
       end
     done
   in
-  Par.with_pool ~domains (fun pool ->
-      List.iteri
-        (fun si rules -> if Atomic.get stop = None then run_stratum pool si rules)
-        strata);
+  List.iteri (fun si rules -> if !stop = None then run_stratum si rules) strata;
   let partial () =
     {
       partial_rounds = !total_new_rounds;
@@ -1264,7 +1160,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
         Array.to_list (Array.sub stratum_rounds 0 (List.length strata));
     }
   in
-  match Atomic.get stop with
+  match !stop with
   | Some `Cancelled -> Error (Cancelled (partial ()))
   | Some ((`Deadline | `Facts | `Rounds) as r) ->
     Error (Budget_exceeded (r, partial ()))
@@ -1319,7 +1215,7 @@ let apply_incremental ?(domains = 1) ?(max_rounds = 100_000)
             } )
     end
 
-let apply_update ?domains ?max_rounds ?budget program res ~adds ~retracts =
+let apply_update ?max_rounds ?budget program res ~adds ~retracts =
   (* all validation happens before any mutation *)
   let rec tuples acc = function
     | [] -> Ok (List.rev acc)
@@ -1335,16 +1231,16 @@ let apply_update ?domains ?max_rounds ?budget program res ~adds ~retracts =
     | Error e -> Error e
     | Ok retract_ids -> (
       if not (incrementable program) then
-        rebuild ?domains ?max_rounds ?budget program res ~adds ~retract_ids
+        rebuild ?max_rounds ?budget program res ~adds ~retract_ids
       else
         match Stratify.strata program with
         | Error e -> Error (Unstratifiable e)
         | Ok strata ->
-          apply_incremental ?domains ?max_rounds ?budget res ~adds ~add_tuples
+          apply_incremental ?max_rounds ?budget res ~adds ~add_tuples
             ~retract_ids strata))
 
-let add_facts ?domains ?max_rounds ?budget program res atoms =
-  apply_update ?domains ?max_rounds ?budget program res ~adds:atoms ~retracts:[]
+let add_facts ?max_rounds ?budget program res atoms =
+  apply_update ?max_rounds ?budget program res ~adds:atoms ~retracts:[]
 
-let retract_facts ?domains ?max_rounds ?budget program res atoms =
-  apply_update ?domains ?max_rounds ?budget program res ~adds:[] ~retracts:atoms
+let retract_facts ?max_rounds ?budget program res atoms =
+  apply_update ?max_rounds ?budget program res ~adds:[] ~retracts:atoms

@@ -8,20 +8,19 @@
     place, so downstream rules always see the current total — the
     Vadalog [msum]/[mprod] behaviour the paper relies on.
 
-    {2 Parallel evaluation}
+    {2 Round protocol}
 
-    Each round runs a fixed two-phase protocol: every plain rule (every
-    semi-naive seed pass) is {e matched} against the immutable
-    pre-round database, then the matches are {e inserted} sequentially
-    in rule order (aggregate rules follow, sequentially, as always).
-    The match phase is pure reads, so with [?domains > 1] it fans out
-    across a reusable {!Par} pool; all fact ids, labelled nulls,
-    provenance records and the chase graph are allocated in the
-    sequential insert phase and are therefore {e bit-identical} for
-    every domain count, including [1].  Join orders come from per-round
-    cost-based plans ({!Plan}), recompiled from live predicate
-    cardinalities; ties keep textual order, so plans are deterministic
-    too. *)
+    Each round runs a fixed protocol: every plain rule (every
+    semi-naive seed pass) is {e matched} against the pre-round
+    database, then the matches are {e inserted} in rule order;
+    aggregate rules follow one by one, each matching its body against
+    the database as the round's earlier insertions left it.  Every body
+    is evaluated by {!Matcher}'s hash joins.  All fact ids, labelled
+    nulls, provenance records and the chase graph are allocated in the
+    insert phase, in this fixed order, so a run is deterministic.  Join
+    orders come from per-round cost-based plans ({!Plan}), recompiled
+    from live predicate cardinalities; ties keep textual order, so
+    plans are deterministic too. *)
 
 open Ekg_datalog
 
@@ -38,13 +37,10 @@ type rule_stat = {
   time_s : float;      (** total matcher + insertion time across rounds *)
   evals : int;         (** rounds the rule was evaluated in *)
   facts : int;         (** facts this rule derived *)
-  build_s : float;     (** sequential hash-index preparation seconds
-                           (always [0.] under the nested engine and for
-                           aggregate rules) *)
-  probe_s : float;     (** match-phase seconds, summed over the rule's
-                           parallel tasks — probe time under the hash
-                           engine, scan time under the nested one *)
-  insert_s : float;    (** sequential insertion seconds *)
+  build_s : float;     (** hash-index preparation seconds ({!Matcher.prepare}) *)
+  probe_s : float;     (** match-phase seconds: the hash-join probe, plus
+                           grouping for an aggregate rule *)
+  insert_s : float;    (** insertion seconds *)
 }
 
 type round_stat = {
@@ -61,16 +57,14 @@ type stats = {
   rounds_per_stratum : int list;   (** by ascending stratum *)
   agg_superseded : int;            (** stale aggregate facts deactivated *)
   wall_s : float;                  (** chase wall-clock, EDB load included *)
-  domains : int;                   (** domains the run fanned out over *)
   plan_reorders : int;             (** compiled plans deviating from
                                        textual body order, summed over
                                        rules × rounds *)
-  join_strategy : string;          (** ["hash"] or ["nested"] — see
-                                       {!Matcher.strategy} *)
   join_builds : int;               (** hash indexes built or extended
-                                       during round planning, summed *)
-  join_probe_hits : int;           (** matches emitted by plain-rule
-                                       match phases, summed *)
+                                       before match phases, summed *)
+  join_probe_hits : int;           (** body matches emitted by match
+                                       phases, aggregate bodies
+                                       included, summed *)
 }
 
 type result = {
@@ -176,10 +170,8 @@ val partial_to_string : partial -> string
 
 val run_checked :
   ?naive:bool ->
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
-  ?join:Matcher.strategy ->
   ?stats:Ekg_obs.Metrics.t ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -192,10 +184,8 @@ val run_checked :
 
 val run :
   ?naive:bool ->
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
-  ?join:Matcher.strategy ->
   ?stats:Ekg_obs.Metrics.t ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -214,11 +204,6 @@ val run :
     results are identical, only performance differs — kept for the
     ablation benchmarks.
 
-    [domains] (default [1]) fans the per-round match phase out over
-    that many domains (one reusable pool per run).  The result —
-    facts, ids, nulls, provenance, chase graph — is bit-identical for
-    every value; only wall-clock changes.
-
     [obs] opens one ["chase.stratum"] span per stratum (under
     [parent] when given), labelled with the stratum index and its
     round count.
@@ -228,7 +213,7 @@ val run :
     [ekg_chase_*] series ([ekg_chase_rounds_total],
     [ekg_chase_facts_derived_total],
     [ekg_chase_rule_seconds_total\{rule,stratum\}],
-    [ekg_chase_domains], [ekg_chase_plan_reorders_total], …).  A
+    [ekg_chase_plan_reorders_total], …).  A
     disabled sink ({!Ekg_obs.Metrics.noop}) disables collection
     outright — [result.stats] stays [None] and the hot path pays a
     single branch, so instrumented call sites can leave observability
@@ -237,10 +222,8 @@ val run :
 
 val run_exn :
   ?naive:bool ->
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
-  ?join:Matcher.strategy ->
   ?stats:Ekg_obs.Metrics.t ->
   ?obs:Ekg_obs.Trace.t ->
   ?parent:Ekg_obs.Trace.span ->
@@ -258,9 +241,9 @@ val run_exn :
 
     {b Additions} warm-start the existing semi-naive loop: the new
     facts are the incoming delta, and each stratum re-runs to fixpoint
-    with the usual per-round join planning and optional {!Par} domain
-    fan-out.  {b Retractions} run DRed-style deletion propagation over
-    the stored provenance DAG: first {e over-delete} the cone of
+    with the usual per-round join planning.  {b Retractions} run
+    DRed-style deletion propagation over the stored provenance DAG:
+    first {e over-delete} the cone of
     consequences reachable from a retracted fact through any recorded
     derivation, then {e re-derive} every over-deleted fact that still
     has a surviving alternative proof by fully re-evaluating the rules
@@ -332,7 +315,6 @@ val copy_result : result -> result
     O(facts + index entries), well below a re-chase. *)
 
 val add_facts :
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   Program.t ->
@@ -344,15 +326,13 @@ val add_facts :
     restores the fixpoint.  Atoms already present are idempotent
     no-ops; an atom matching a previously derived fact makes that fact
     extensional (as a cold chase on the new base would).  [budget] and
-    [max_rounds] bound the propagation exactly as in {!run};
-    [domains] fans the match phases out over a {!Par} pool.  An
+    [max_rounds] bound the propagation exactly as in {!run}.  An
     addition that fires a negative constraint fails with
     {!Inconsistent} only after the fixpoint was restored — [res] is
     then mutated and must be discarded (see the error contract
     above). *)
 
 val retract_facts :
-  ?domains:int ->
   ?max_rounds:int ->
   ?budget:budget ->
   Program.t ->

@@ -121,9 +121,9 @@ let ix_add ix h row =
 (* Struct-of-arrays storage for one (predicate symbol, arity): each
    argument position is a flat column of interned value ids, and
    [cg_rows] maps row number back to fact id.  Row order is insertion
-   order, i.e. ascending fact id — the property that lets the hash-join
-   matcher reproduce the nested-loop matcher's enumeration order
-   exactly. *)
+   order, i.e. ascending fact id — the property that makes the
+   hash-join matcher enumerate matches in a nested-loop matcher's
+   order exactly. *)
 type colgroup = {
   cg_arity : int;
   cg_cols : Intvec.t array;            (* per argument position: vids *)

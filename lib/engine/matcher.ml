@@ -14,141 +14,26 @@ type agg_result = {
 
 exception Interrupted
 
-(* Enumerate joins of the positive atoms in plan order (textual order
-   when no plan is given); negation and fully-bound conditions are
-   checked as soon as possible to prune the search.  [position_ok]
-   restricts which facts may fill each {e join position} (plan order) —
-   the hook for semi-naive delta seeding.  [used_facts] is restored to
-   body order regardless of the plan, so provenance premises are
-   plan-independent.  [interrupt] is polled once per join node; when it
-   answers [true] the enumeration aborts with {!Interrupted} — the
-   cooperative-cancellation point that keeps a pathological join from
-   pinning a domain past its budget. *)
-let raw_matches ?interrupt ?plan ?(position_ok = fun _ _ -> true) db (r : Rule.t) =
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init (Array.length positives) Fun.id
-  in
-  let n = Array.length order in
-  let negatives = Rule.negative_atoms r in
-  let check_conditions subst =
-    List.for_all
-      (fun c -> Expr.eval_cmp (Subst.lookup subst) c <> Some false)
-      r.conditions
-  in
-  (* [used] collects (body-atom index, fact id) pairs *)
-  let restore_body_order used =
-    List.sort (fun (i, _) (j, _) -> Int.compare i j) used |> List.map snd
-  in
-  let check =
-    match interrupt with
-    | None -> None
-    | Some f -> Some (fun () -> if f () then raise Interrupted)
-  in
-  let rec join pos subst used =
-    (match check with None -> () | Some c -> c ());
-    if pos = n then begin
-      (* all positive atoms matched: apply assignments in order *)
-      let subst =
-        List.fold_left
-          (fun s (v, e) ->
-            match Expr.eval (Subst.lookup s) e with
-            | Some x -> Subst.bind s v x
-            | None -> s)
-          subst r.assignments
-      in
-      let all_hold =
-        List.for_all (fun c -> Expr.eval_cmp (Subst.lookup subst) c = Some true) r.conditions
-      in
-      if not all_hold then []
-      else if
-        List.exists
-          (fun (a : Atom.t) ->
-            Database.exists_matching db (Subst.apply_atom subst a) subst)
-          negatives
-      then []
-      else [ { binding = subst; used_facts = restore_body_order used } ]
-    end
-    else begin
-      let body_idx = order.(pos) in
-      let atom = positives.(body_idx) in
-      if not (check_conditions subst) then []
-      else
-        List.concat_map
-          (fun ((f : Fact.t), subst') ->
-            if position_ok pos f then join (pos + 1) subst' ((body_idx, f.id) :: used)
-            else [])
-          (Database.matching db atom subst)
-    end
-  in
-  join 0 Subst.empty []
-
 type delta = {
   mem : int -> bool;      (** fact id in the previous round's delta *)
   has_pred : int -> bool; (** some delta fact has this predicate symbol *)
 }
-
-(* Semi-naive evaluation: the union over k of joins whose k-th join
-   position is a delta fact while earlier positions are non-delta —
-   each new match is produced exactly once, seeded from the delta.
-   Positions follow the evaluation plan; the decomposition is valid
-   over any fixed order.  Passes whose seed predicate has no delta fact
-   are skipped outright, by interned symbol (no string hashing). *)
-let nested_delta_tasks ?interrupt ?plan ~delta db (r : Rule.t) =
-  let { mem; has_pred } = delta in
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let n = Array.length positives in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init n Fun.id
-  in
-  List.filter_map
-    (fun k ->
-      let seed = positives.(order.(k)) in
-      let seed_has_delta =
-        match Database.pred_sym db seed.Atom.pred with
-        | None -> false (* no facts of this predicate at all *)
-        | Some sym -> has_pred sym
-      in
-      if not seed_has_delta then None
-      else
-        Some
-          (fun () ->
-            let position_ok pos (f : Fact.t) =
-              if pos = k then mem f.id
-              else if pos < k then not (mem f.id)
-              else true
-            in
-            raw_matches ?interrupt ?plan ~position_ok db r))
-    (List.init n Fun.id)
 
 (* --- hash-join evaluation ----------------------------------------------------
 
    Build/probe evaluation over the database's columnar storage: the
    planner's atom order is a left-deep pipelined join, and at each join
    position the matcher probes a multi-column hash index on the key
-   columns bound so far ({!Plan.key_masks}) instead of scanning a
-   posting list.  Bindings live in a dense int array of interned value
-   ids; [Subst.t] is only materialized per {e emitted} match.
+   columns bound so far ({!Plan.key_masks}) instead of scanning every
+   row.  Bindings live in a dense int array of interned value ids;
+   [Subst.t] is only materialized per {e emitted} match.
 
    The enumeration visits candidate rows in ascending row order (bucket
    rows are ascending, scans are ascending), which is ascending fact-id
-   order — exactly the order the nested-loop matcher enumerates.  The
-   two engines therefore produce the same match {e sequence}, so fact
-   ids, labelled nulls, provenance and every byte of output are
-   identical, not merely the fixpoint. *)
-
-type strategy = Hash | Nested
-
-let strategy_of_env () =
-  match Sys.getenv_opt "EKG_JOIN" with
-  | Some s when String.lowercase_ascii (String.trim s) = "nested" -> Nested
-  | Some _ | None -> Hash
-
-let strategy_name = function Hash -> "hash" | Nested -> "nested"
+   order: the order of a textbook nested-loop matcher over the same
+   plan.  The test suite keeps such a matcher as the reference oracle
+   and checks that both produce the same match {e sequence}, so fact
+   ids, labelled nulls and provenance do not depend on the engine. *)
 
 type arg_spec =
   | SConst of int  (* interned value id; -1 when the value is not in the db *)
@@ -221,23 +106,21 @@ let compile_nodes db (r : Rule.t) order =
   in
   (nodes, Hashtbl.length slots, slots)
 
-(* One semi-naive pass of the hash engine.  [delta_seed = Some (d, k)]
-   restricts position k to delta facts and earlier positions to
-   non-delta facts, exactly like [position_ok] in the nested engine;
-   [range = Some (lo, hi)] restricts position 0's candidate rows to
-   [lo, hi) — the share-nothing partitioning unit of parallel probe
-   tasks (contiguous ranges recombined in order preserve the
-   enumeration order, which join-key hash partitioning would not). *)
-let hash_matches ?interrupt ?plan ?delta_seed ?range db (r : Rule.t) =
+(* join position -> body-atom index; textual order without a plan *)
+let plan_order plan n =
+  match plan with
+  | Some (p : Plan.t) -> p.Plan.order
+  | None -> Array.init n Fun.id
+
+(* One pass of the hash engine.  [delta_seed = Some (d, k)] restricts
+   join position k to delta facts and earlier positions to non-delta
+   facts: one seed pass of semi-naive evaluation. *)
+let hash_matches ?interrupt ?plan ?delta_seed db (r : Rule.t) =
   let positives = Array.of_list (Rule.positive_atoms r) in
   let n = Array.length positives in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init n Fun.id
-  in
+  let order = plan_order plan n in
   let nodes, nslots, slots = compile_nodes db r order in
-  (* resolve each node's index handle once — rows cannot be appended
+  (* resolve each node's index handle once: rows cannot be appended
      during a match pass, so freshness checked here holds throughout *)
   let handles =
     Array.map
@@ -298,11 +181,10 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range db (r : Rule.t) =
   in
   let undos = Array.map (fun (nd : node) -> Array.make (max 1 nd.nd_arity) 0) nodes in
   let emit () =
-    (* Reconstruct θ exactly as the nested engine does: each variable's
-       value comes from the {e fact} that first bound it in plan order
-       — the matched tuple's own representation, not the interning
-       representative — so head instantiation and rendering are
-       byte-identical across engines. *)
+    (* Reconstruct θ from the facts: each variable's value comes from
+       the {e fact} that first bound it in plan order (the matched
+       tuple's own representation, not the interning representative),
+       so head instantiation and rendering see the stored values. *)
     let subst = ref Subst.empty in
     for pos = 0 to n - 1 do
       match binders.(pos) with
@@ -362,18 +244,10 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range db (r : Rule.t) =
         match nd.nd_group with
         | None -> ()
         | Some g ->
-          let nrows = Database.Cols.rows g in
-          let lo, hi =
-            if pos = 0 then
-              match range with
-              | Some (a, b) -> (max 0 a, min b nrows)
-              | None -> (0, nrows)
-            else (0, nrows)
-          in
-          if nd.nd_mask = 0 then scan pos nd g lo hi
+          if nd.nd_mask = 0 then scan pos nd g
           else begin
             match handles.(pos) with
-            | None -> scan pos nd g lo hi (* index missing/stale *)
+            | None -> scan pos nd g (* index missing/stale *)
             | Some ix ->
               (* fold the bound key columns into the probe hash *)
               let keycols = nd.nd_keycols in
@@ -389,24 +263,17 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range db (r : Rule.t) =
                 if vid < 0 then valid := false
                 else h := Database.key_hash_add !h vid
               done;
-              if not !valid then scan pos nd g lo hi
+              if not !valid then scan pos nd g
               else begin
                 let bucket = Database.probe_handle ix ~hash:!h in
-                let m = Intvec.length bucket in
-                if lo = 0 && hi = nrows then
-                  for bi = 0 to m - 1 do
-                    try_row pos nd g (Intvec.unsafe_get bucket bi)
-                  done
-                else
-                  for bi = 0 to m - 1 do
-                    let row = Intvec.unsafe_get bucket bi in
-                    if row >= lo && row < hi then try_row pos nd g row
-                  done
+                for bi = 0 to Intvec.length bucket - 1 do
+                  try_row pos nd g (Intvec.unsafe_get bucket bi)
+                done
               end
           end
     end
-  and scan pos nd g lo hi =
-    for row = lo to hi - 1 do
+  and scan pos nd g =
+    for row = 0 to Database.Cols.rows g - 1 do
       try_row pos nd g row
     done
   and try_row pos (nd : node) g row =
@@ -452,115 +319,44 @@ let hash_matches ?interrupt ?plan ?delta_seed ?range db (r : Rule.t) =
   node 0;
   List.rev !out
 
-(* Contiguous position-0 row ranges for share-nothing probe
-   partitioning.  [None] stands for the unrestricted range; ranges are
-   returned in ascending order, so concatenating their results
-   restores the unpartitioned enumeration order — the partition count
-   may therefore vary (with pool width, with instance size) without
-   perturbing a single output byte. *)
-let seed_ranges ~partitions db (r : Rule.t) order =
-  if partitions <= 1 || Array.length order = 0 then [ None ]
-  else begin
-    let positives = Array.of_list (Rule.positive_atoms r) in
-    let a = positives.(order.(0)) in
-    let nrows =
-      match Database.pred_sym db a.Atom.pred with
-      | None -> 0
-      | Some sym -> (
-        match
-          Database.Cols.find db ~sym ~arity:(List.length a.Atom.args)
-        with
-        | None -> 0
-        | Some g -> Database.Cols.rows g)
-    in
-    if nrows < 2 * partitions then [ None ]
-    else
-      List.init partitions (fun p ->
-          Some (p * nrows / partitions, (p + 1) * nrows / partitions))
-  end
+(* Ensure the hash indexes every join position will probe, so the
+   match pass itself never builds.  Returns the number of indexes that
+   did extension work: the chase's [join_builds] counter. *)
+let prepare db (r : Rule.t) (plan : Plan.t) =
+  let nodes, _, _ = compile_nodes db r plan.Plan.order in
+  Array.fold_left
+    (fun acc nd ->
+      if
+        nd.nd_mask <> 0 && nd.nd_sym >= 0
+        && Database.ensure_index db ~sym:nd.nd_sym ~arity:nd.nd_arity
+             ~mask:nd.nd_mask
+           > 0
+      then acc + 1
+      else acc)
+    0 nodes
 
-let hash_delta_tasks ?interrupt ?plan ~partitions ~delta db (r : Rule.t) =
-  let { mem = _; has_pred } = delta in
-  let positives = Array.of_list (Rule.positive_atoms r) in
-  let n = Array.length positives in
-  let order =
-    match plan with
-    | Some (p : Plan.t) -> p.Plan.order
-    | None -> Array.init n Fun.id
-  in
-  let ranges = seed_ranges ~partitions db r order in
-  List.concat_map
-    (fun k ->
-      let seed = positives.(order.(k)) in
-      let seed_has_delta =
-        match Database.pred_sym db seed.Atom.pred with
-        | None -> false
-        | Some sym -> has_pred sym
-      in
-      if not seed_has_delta then []
-      else
-        List.map
-          (fun range () ->
-            hash_matches ?interrupt ?plan ~delta_seed:(delta, k) ?range db r)
-          ranges)
-    (List.init n Fun.id)
-
-let delta_tasks ?(strategy = strategy_of_env ()) ?interrupt ?plan ?(partitions = 1) ~delta db
-    (r : Rule.t) =
-  match strategy with
-  | Nested -> nested_delta_tasks ?interrupt ?plan ~delta db r
-  | Hash -> hash_delta_tasks ?interrupt ?plan ~partitions ~delta db r
-
-let full_tasks ?(strategy = strategy_of_env ()) ?interrupt ?plan ?(partitions = 1) db
-    (r : Rule.t) =
-  match strategy with
-  | Nested -> [ (fun () -> raw_matches ?interrupt ?plan db r) ]
-  | Hash ->
-    let positives = Rule.positive_atoms r in
-    let n = List.length positives in
-    let order =
-      match plan with
-      | Some (p : Plan.t) -> p.Plan.order
-      | None -> Array.init n Fun.id
-    in
-    List.map
-      (fun range () -> hash_matches ?interrupt ?plan ?range db r)
-      (seed_ranges ~partitions db r order)
-
-(* Sequential-phase index preparation: ensure the hash indexes every
-   join position will probe, so the (parallel, pure-read) match phase
-   never builds.  Returns the number of indexes that did extension
-   work — the chase's [join_builds] counter. *)
-let prepare ?(strategy = strategy_of_env ()) db (r : Rule.t) (plan : Plan.t) =
-  match strategy with
-  | Nested -> 0
-  | Hash ->
-    if Rule.has_agg r then 0
-    else begin
-      let nodes, _, _ = compile_nodes db r plan.Plan.order in
-      Array.fold_left
-        (fun acc nd ->
-          if nd.nd_mask <> 0 && nd.nd_sym >= 0 then
-            acc
-            + (if
-                 Database.ensure_index db ~sym:nd.nd_sym ~arity:nd.nd_arity
-                   ~mask:nd.nd_mask
-                 > 0
-               then 1
-               else 0)
-          else acc)
-        0 nodes
-    end
-
-let match_rule ?(strategy = strategy_of_env ()) ?interrupt ?delta ?plan db (r : Rule.t) =
+(* Semi-naive evaluation: the union over k of passes whose k-th join
+   position is a delta fact while earlier positions are non-delta, so
+   each new match is produced exactly once.  Positions follow the
+   evaluation plan; the decomposition is valid over any fixed order.
+   Passes whose seed predicate has no delta fact are skipped outright,
+   by interned symbol (no string hashing). *)
+let match_rule ?interrupt ?delta ?plan db (r : Rule.t) =
   if Rule.has_agg r then invalid_arg "Matcher.match_rule: aggregating rule";
-  match strategy, delta with
-  | Nested, None -> raw_matches ?interrupt ?plan db r
-  | Hash, None -> hash_matches ?interrupt ?plan db r
-  | _, Some delta ->
+  match delta with
+  | None -> hash_matches ?interrupt ?plan db r
+  | Some d ->
+    let positives = Array.of_list (Rule.positive_atoms r) in
+    let n = Array.length positives in
+    let order = plan_order plan n in
     List.concat_map
-      (fun task -> task ())
-      (delta_tasks ~strategy ?interrupt ?plan ~delta db r)
+      (fun k ->
+        let seed = positives.(order.(k)) in
+        match Database.pred_sym db seed.Atom.pred with
+        | Some sym when d.has_pred sym ->
+          hash_matches ?interrupt ?plan ~delta_seed:(d, k) db r
+        | Some _ | None -> [])
+      (List.init n Fun.id)
 
 (* --- aggregation ------------------------------------------------------- *)
 
@@ -584,15 +380,24 @@ let aggregate (func : Rule.agg_func) values =
       | Rule.Max -> List.fold_left Value.max_v v rest
       | Rule.Count -> Value.int (1 + List.length rest))
 
-let match_agg_rule ?interrupt ?plan db (r : Rule.t) =
+(* Conditions over the aggregate result hold only after grouping. *)
+let depends_on_result (r : Rule.t) c =
   match r.agg with
-  | None -> invalid_arg "Matcher.match_agg_rule: non-aggregating rule"
+  | Some agg -> List.mem agg.result (Expr.cmp_vars c)
+  | None -> false
+
+let agg_body (r : Rule.t) =
+  if not (Rule.has_agg r) then invalid_arg "Matcher.agg_body: non-aggregating rule";
+  {
+    r with
+    conditions = List.filter (fun c -> not (depends_on_result r c)) r.conditions;
+    agg = None;
+  }
+
+let group (r : Rule.t) matches =
+  match r.agg with
+  | None -> invalid_arg "Matcher.group: non-aggregating rule"
   | Some agg ->
-    (* Conditions over the aggregate result hold only after grouping;
-       evaluate the body with those conditions deferred. *)
-    let depends_on_result c = List.mem agg.result (Expr.cmp_vars c) in
-    let body_rule = { r with conditions = List.filter (fun c -> not (depends_on_result c)) r.conditions; agg = None } in
-    let matches = raw_matches ?interrupt ?plan db body_rule in
     let group_vars = Rule.group_vars r in
     (* Deduplicate contributors on their full binding: set semantics of
        monotonic aggregation over witness homomorphisms. *)
@@ -612,7 +417,7 @@ let match_agg_rule ?interrupt ?plan db (r : Rule.t) =
           else GroupMap.add key (m :: existing) acc)
         GroupMap.empty matches
     in
-    let deferred = List.filter depends_on_result r.conditions in
+    let deferred = List.filter (depends_on_result r) r.conditions in
     (* Variables bound to the same value by every contributor (such as
        the creditor's capital in the stress test's σ7) extend the group
        binding: deferred conditions and the head may mention them. *)
@@ -665,3 +470,6 @@ let match_agg_rule ?interrupt ?plan db (r : Rule.t) =
           end)
       groups []
     |> List.rev
+
+let match_agg_rule ?interrupt ?plan db r =
+  group r (match_rule ?interrupt ?plan db (agg_body r))

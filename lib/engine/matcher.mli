@@ -5,12 +5,19 @@
     aggregating rules yield one {!agg_result} per SQL-like group, with
     the contributors that feed the monotonic aggregate.
 
+    Bodies are evaluated by build/probe hash joins over the database's
+    columnar storage ({!Database.Cols}): at each join position the
+    matcher probes a multi-column hash index on the planner's key
+    columns ({!Plan.key_masks}), with dense interned-int bindings.
+    Candidate rows are visited in ascending fact-id order, so the match
+    sequence is the one a nested-loop matcher over the same plan would
+    enumerate.
+
     Joins follow an optional {!Plan.t} (cost-based atom order); the
     results are plan-independent — [used_facts] is always reported in
     body order — only the enumeration order of the matches may differ
-    between plans.  All entry points only {e read} the database, so a
-    round's match phase may fan out across domains against an immutable
-    pre-round database. *)
+    between plans.  Every entry point except {!prepare} only {e reads}
+    the database. *)
 
 open Ekg_kernel
 open Ekg_datalog
@@ -39,80 +46,41 @@ exception Interrupted
     budgeted chase ({!Chase.budget}).  The database is untouched (the
     matcher only reads), so the caller may safely abandon or retry. *)
 
-(** {1 Join strategies}
-
-    Two body-evaluation engines produce {e identical match sequences}
-    (same matches, same enumeration order — so fact ids, labelled
-    nulls, provenance and every output byte agree):
-
-    - [Hash] (the default): build/probe hash joins over the database's
-      columnar storage ({!Database.Cols}), probing multi-column hash
-      indexes on the planner's key columns ({!Plan.key_masks}) with
-      dense interned-int bindings.
-    - [Nested]: the original nested-loop homomorphism matcher over
-      posting lists — the escape hatch ([EKG_JOIN=nested]) and the
-      equivalence oracle the hash engine is property-tested against. *)
-
-type strategy = Hash | Nested
-
-val strategy_of_env : unit -> strategy
-(** [Nested] when the [EKG_JOIN] environment variable is set to
-    ["nested"] (case-insensitive), [Hash] otherwise — the default of
-    every entry point below. *)
-
-val strategy_name : strategy -> string
-(** ["hash"] or ["nested"] — the [join_strategy] wide-event/stats
-    value. *)
+val prepare : Database.t -> Rule.t -> Plan.t -> int
+(** Ensure the hash indexes the rule's join positions will probe
+    ({!Database.ensure_index} on each {!Plan.key_masks} mask); for an
+    aggregating rule, those of its body.  {e Mutates the database}:
+    call it after the inserts the match must see and before the match,
+    or the probe finds a stale index and falls back to a full scan.
+    Returns the number of indexes built or extended. *)
 
 val match_rule :
-  ?strategy:strategy ->
   ?interrupt:(unit -> bool) ->
   ?delta:delta -> ?plan:Plan.t -> Database.t -> Rule.t -> match_result list
 (** Matches of a non-aggregating rule.  With [delta], only matches
     using at least one delta fact are returned, and the join is seeded
-    from the delta facts (semi-naive evaluation).  [interrupt] is
-    polled once per join node; answering [true] aborts the enumeration
-    with {!Interrupted}.  Raises [Invalid_argument] on aggregating
-    rules. *)
+    from the delta facts (semi-naive evaluation): one pass per join
+    position whose seed predicate has delta facts, concatenated in
+    position order.  [interrupt] is polled once per join node;
+    answering [true] aborts the enumeration with {!Interrupted}.
+    Raises [Invalid_argument] on aggregating rules. *)
 
-val delta_tasks :
-  ?strategy:strategy ->
-  ?interrupt:(unit -> bool) ->
-  ?plan:Plan.t -> ?partitions:int ->
-  delta:delta -> Database.t -> Rule.t -> (unit -> match_result list) list
-(** The independent seed passes of semi-naive evaluation, one closure
-    per join position whose seed predicate has delta facts.  Running
-    every task (in any order, e.g. across a {!Par} pool) and
-    concatenating the results {e in task order} equals
-    [match_rule ~delta] — the chase's unit of parallel work.  Tasks
-    must run against the unchanged database.
+val agg_body : Rule.t -> Rule.t
+(** The rule an aggregating rule's contributors are matched from: the
+    same body without the aggregate and without the conditions over the
+    aggregate result, which only hold after grouping.  Raises
+    [Invalid_argument] on non-aggregating rules. *)
 
-    Under the [Hash] strategy, [partitions] (default 1) additionally
-    splits each seed pass into share-nothing probe tasks over
-    contiguous ranges of the first join position's rows; ranges
-    recombine in task order, so the concatenation — and therefore the
-    chase output — is identical for every partition count. *)
-
-val full_tasks :
-  ?strategy:strategy ->
-  ?interrupt:(unit -> bool) ->
-  ?plan:Plan.t -> ?partitions:int ->
-  Database.t -> Rule.t -> (unit -> match_result list) list
-(** Full (non-delta) evaluation as independent tasks — the first round
-    of a stratum, partitioned like {!delta_tasks}; concatenating the
-    results in task order equals [match_rule] without [delta]. *)
-
-val prepare : ?strategy:strategy -> Database.t -> Rule.t -> Plan.t -> int
-(** Ensure the hash indexes the rule's join positions will probe
-    ({!Database.ensure_index} on each {!Plan.key_masks} mask).
-    {e Mutates the database}: call from the sequential planning step
-    of a round, never concurrently with match tasks.  Returns the
-    number of indexes built or extended.  No-op (0) under [Nested]
-    and for aggregating rules. *)
+val group : Rule.t -> match_result list -> agg_result list
+(** Group the body matches of an aggregating rule (in match order) by
+    its group variables, deduplicate contributors on their full
+    binding, aggregate, and keep the groups that pass the deferred
+    conditions.  Raises [Invalid_argument] on non-aggregating rules. *)
 
 val match_agg_rule :
   ?interrupt:(unit -> bool) -> ?plan:Plan.t -> Database.t -> Rule.t -> agg_result list
 (** Groups of an aggregating rule, conditions already enforced
-    (including those over the aggregate result); [interrupt] as in
+    (including those over the aggregate result):
+    [group r (match_rule (agg_body r))].  [interrupt] as in
     {!match_rule}.  Raises [Invalid_argument] on non-aggregating
     rules. *)

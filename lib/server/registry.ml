@@ -62,7 +62,6 @@ type t = {
   root : string;
   metrics : Metrics.t;
   obs : Ekg_obs.Metrics.t;
-  chase_domains : int;
   fault : Fault.t;
   persist : persist option;
   lock : Ekg_obs.Lock.t;
@@ -86,8 +85,7 @@ let query_answer_misses_metric = "ekg_query_answer_cache_misses_total"
 let query_invalidations_metric = "ekg_query_cache_invalidations_total"
 let query_seconds_metric = "ekg_query_seconds_total"
 
-let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(chase_domains = 1)
-    ?(fault = Fault.Off) ?store
+let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?store
     ?(snapshot_mode = Ekg_store.Snapshotter.Write_behind)
     ?(max_hot_sessions = 0) metrics =
   let persist =
@@ -104,7 +102,6 @@ let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(chase_domains = 1)
     root;
     metrics;
     obs;
-    chase_domains;
     fault;
     persist;
     lock = Ekg_obs.Lock.create ~obs "registry";
@@ -433,7 +430,7 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
             | Error _ as e -> e
             | Ok () -> (
               match
-                Chase.run_checked ~stats:t.obs ~domains:t.chase_domains ~budget
+                Chase.run_checked ~stats:t.obs ~budget
                   ?obs:tracer ?parent session.pipeline.Pipeline.program
                   session.edb
               with
@@ -460,9 +457,7 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
       match result.Chase.stats with
       | Some st ->
         Ekg_obs.Log.Ctx.put "plan_reorders"
-          (Ekg_obs.Log.Int st.Chase.plan_reorders);
-        Ekg_obs.Log.Ctx.put "join_strategy"
-          (Ekg_obs.Log.Str st.Chase.join_strategy)
+          (Ekg_obs.Log.Int st.Chase.plan_reorders)
       | None -> ()
     end;
     (* a fresh chase is worth persisting; a warm restore already came
@@ -624,7 +619,7 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
             else res
           in
           match
-            apply ~domains:t.chase_domains ~budget session.pipeline target atoms
+            apply ~budget session.pipeline target atoms
           with
           | Ok (res', upd) ->
             session.chase <- Some res';
@@ -779,7 +774,7 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
       match injected with
       | Error e -> Error e
       | Ok () ->
-        Pipeline.query ~stats:t.obs ~domains:t.chase_domains ~budget ?obs:tracer
+        Pipeline.query ~stats:t.obs ~budget ?obs:tracer
           ?parent session.pipeline spec edb atom
     in
     match outcome with

@@ -29,7 +29,7 @@ let shed_metric = "ekg_server_shed_total"
 let deadline_metric = "ekg_request_deadline_exceeded_total"
 let queue_depth_metric = "ekg_server_queue_depth"
 
-let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
+let make_state ?root ?(fault = Fault.Off)
     ?(default_deadline_ms = 30_000.) ?(max_deadline_ms = 300_000.) ?store
     ?snapshot_mode ?max_hot_sessions ?log () =
   let metrics = Metrics.create () in
@@ -65,7 +65,7 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
     ~help:"Join plans that deviated from textual body order"
     "ekg_chase_plan_reorders_total";
   Ekg_obs.Metrics.declare_counter obs
-    ~help:"Hash-join indexes built or extended during round planning"
+    ~help:"Hash-join indexes built or extended before match phases"
     "ekg_chase_join_builds_total";
   Ekg_obs.Metrics.declare_counter obs
     ~help:"Matches emitted by the join probe phase"
@@ -82,8 +82,6 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
   Ekg_obs.Metrics.declare_counter obs
     ~help:"Aggregate facts superseded by a later refinement"
     "ekg_chase_agg_superseded_total";
-  Ekg_obs.Metrics.set obs ~help:"Domains used by the most recent chase"
-    "ekg_chase_domains" (float_of_int chase_domains);
   (* the contention histograms of the process-wide instrumented locks
      likewise render (at zero) from the first scrape *)
   List.iter (Ekg_obs.Lock.declare obs) [ "registry"; "tracer"; "inflight" ];
@@ -149,7 +147,7 @@ let make_state ?root ?(chase_domains = 1) ?(fault = Fault.Off)
       Ekg_store.Snapshotter.stall_metric
   end;
   let registry =
-    Registry.create ?root ~obs ~chase_domains ~fault ?store ?snapshot_mode
+    Registry.create ?root ~obs ~fault ?store ?snapshot_mode
       ?max_hot_sessions metrics
   in
   let runtime = Ekg_obs.Runtime.create obs in
@@ -1131,7 +1129,6 @@ let wide_defaults =
     "chase_rounds", Ekg_obs.Log.Int 0;
     "chase_facts", Ekg_obs.Log.Int 0;
     "plan_reorders", Ekg_obs.Log.Int 0;
-    "join_strategy", Ekg_obs.Log.Str "none";
     "snapshot_scheduled", Ekg_obs.Log.Bool false;
     "shed", Ekg_obs.Log.Bool false;
   ]

@@ -53,7 +53,6 @@ type state
 
 val make_state :
   ?root:string ->
-  ?chase_domains:int ->
   ?fault:Fault.t ->
   ?default_deadline_ms:float ->
   ?max_deadline_ms:float ->
@@ -65,8 +64,6 @@ val make_state :
   state
 (** Fresh registry + metrics + observability registry + tracer; [root]
     anchors [program_path] / [facts_dir] session specs.
-    [chase_domains] (default [1]) is the match-phase fan-out of every
-    chase materialization — orthogonal to the HTTP worker-domain count.
     [fault] (default {!Fault.Off}) injects the configured fault:
     [Delay] sleeps before handling each session request, [Slow_chase]
     stretches materializations (see {!Registry.create}).

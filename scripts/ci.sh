@@ -7,13 +7,13 @@
 # restart-recovery smoke (kill + restart on the same --store-dir;
 # explanations must be served again without re-running the chase), the
 # scale-harness smoke (tiny-N generate -> serve -> CDC replay ->
-# identity gate, with the ekg_loadgen_* series asserted), the parallel-
-# chase bench smoke (writes BENCH_chase.json: wall-clock at domains=1
-# vs 4, admission overhead, incremental maintenance vs cold re-chase,
-# snapshot/restore vs cold chase; fails if parallel, incremental or
-# restored state ever diverges), the join-engine identity smoke (a
-# bundled app under the hash and nested engines must fingerprint
-# identically), and the documentation gate
+# identity gate, with the ekg_loadgen_* series asserted), the chase
+# bench smoke (writes BENCH_chase.json: admission and observability
+# overhead, incremental maintenance vs cold re-chase, query lane vs
+# materialization, snapshot/restore vs cold chase; fails if
+# incremental, query-lane or restored state ever diverges), the
+# fingerprint gate (every bundled app's full chase output must digest
+# to its recorded value), and the documentation gate
 # (doc-comment lint always; `dune build @doc` + HTML artifact when
 # odoc is installed). Run from anywhere.
 set -euo pipefail
@@ -28,16 +28,22 @@ dune build @smoke-recovery
 dune build @smoke-scale
 dune exec bench/main.exe -- chase-smoke
 
-# join-engine identity: the columnar hash-join chase and the nested-loop
-# escape hatch must produce byte-identical output (facts, provenance,
-# explanations) on a bundled app
-fp_hash="$(dune exec bin/profile.exe -- company-control --join hash --fingerprint | sed -n 's/^fingerprint: //p')"
-fp_nested="$(dune exec bin/profile.exe -- company-control --join nested --fingerprint | sed -n 's/^fingerprint: //p')"
-if [ -z "$fp_hash" ] || [ "$fp_hash" != "$fp_nested" ]; then
-  echo "ci: join-engine fingerprints diverge (hash=$fp_hash nested=$fp_nested)" >&2
-  exit 1
-fi
-echo "ci: join-engine identity ok ($fp_hash)"
+# fingerprint gate: each bundled app's full chase output (facts, ids,
+# provenance, chase graph) must digest to the recorded value; an engine
+# change may move time, never a byte
+while read -r app expected; do
+  fp="$(dune exec bin/profile.exe -- "$app" --fingerprint | sed -n 's/^fingerprint: //p')"
+  if [ "$fp" != "$expected" ]; then
+    echo "ci: $app fingerprint '$fp' differs from the recorded $expected" >&2
+    exit 1
+  fi
+  echo "ci: $app fingerprint ok ($fp)"
+done <<'APPS'
+company-control 06d605798e09d92f2dec9ac0bb5f700b
+stress-test 8d3feae6656b709cf8f620b55fa5c098
+close-link bea5782cff97f2fb012a6ad6f8633ffa
+golden-power f038631ca1d42d5a1d551ae64f670477
+APPS
 
 # documentation: lint is unconditional; rendering needs odoc, which
 # not every CI image carries — skip rendering gracefully when absent
@@ -59,4 +65,4 @@ else
   echo "ci: odoc not installed; skipped @doc rendering (doc lint still enforced)"
 fi
 
-echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + docs)"
+echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + fingerprints + docs)"

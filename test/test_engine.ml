@@ -971,7 +971,7 @@ let prop_magic_equals_full_chase =
 
 (* The serving property behind the query lane: specializing for a
    bound/free pattern, seeding with the query constants and chasing the
-   rewritten program (at domains > 1) answers exactly what filtering
+   rewritten program answers exactly what filtering
    the full materialization answers — for plain, negated and
    aggregating programs alike, inconsistency detection included. *)
 let ql_plain =
@@ -1033,13 +1033,13 @@ let prop_query_lane_equals_materialization =
           Atom.make pred [ arg b1 c1 "X"; Term.var "T" ]
         else Atom.make pred [ arg b1 c1 "X"; arg b2 c2 "Y" ]
       in
-      let full = Chase.run_checked ~domains:2 program edb in
+      let full = Chase.run_checked program edb in
       let scoped =
         match Magic.specialize program ~pred ~mask:(Magic.adornment q) with
         | Error e -> Error ("specialize: " ^ e)
         | Ok sp -> (
           match
-            Chase.run_checked ~domains:2 sp.Magic.sp_program
+            Chase.run_checked sp.Magic.sp_program
               (edb @ Magic.seeds sp q)
           with
           | Error err -> Error (Chase.error_to_string err)
@@ -1307,59 +1307,10 @@ let test_pred_card () =
   check int' "deactivation does not shrink the estimate" 2
     (Database.pred_card db "p")
 
-let test_par_map () =
-  Par.with_pool ~domains:3 (fun pool ->
-      let pool = Option.get pool in
-      check int' "pool size" 3 (Par.domains pool);
-      let tasks = Array.init 50 (fun i () -> i * i) in
-      let out = Par.map pool tasks in
-      check bool' "results in task order" true
-        (out = Array.init 50 (fun i -> i * i));
-      (* reusable across batches *)
-      let out2 = Par.map pool (Array.init 7 (fun i () -> -i)) in
-      check bool' "second batch" true (out2 = Array.init 7 (fun i -> -i));
-      (* a raising task propagates after the batch drains *)
-      Alcotest.check_raises "exception propagates" (Failure "task 3") (fun () ->
-          ignore
-            (Par.map pool
-               (Array.init 8 (fun i () ->
-                    if i = 3 then failwith "task 3" else i))));
-      (* the pool survives a failed batch *)
-      let out3 = Par.map pool (Array.init 4 (fun i () -> i + 1)) in
-      check bool' "usable after failure" true (out3 = [| 1; 2; 3; 4 |]));
-  (* domains <= 1: no pool, caller runs inline *)
-  check bool' "sequential fallback" true
-    (Par.with_pool ~domains:1 (fun pool -> pool = None))
-
 (* the full externally visible result: facts, ids, provenance and the
    chase graph — byte equality is the determinism contract *)
 let chase_fingerprint (r : Chase.result) =
   Io.result_to_json r ^ Export.chase_graph_dot r
-
-let test_parallel_identical_on_bundled_apps () =
-  List.iter
-    (fun app ->
-      match Ekg_apps.Bundled.load app with
-      | Error e -> Alcotest.failf "load %s: %s" app e
-      | Ok loaded ->
-        let program =
-          loaded.Ekg_apps.Apps_util.pipeline.Ekg_core.Pipeline.program
-        in
-        let edb = loaded.Ekg_apps.Apps_util.edb in
-        let seq = Chase.run_exn program edb in
-        List.iter
-          (fun domains ->
-            let par = Chase.run_exn ~domains program edb in
-            check int' (app ^ ": rounds identical") seq.Chase.rounds
-              par.Chase.rounds;
-            check int' (app ^ ": derived identical") seq.Chase.derived_count
-              par.Chase.derived_count;
-            check bool'
-              (Printf.sprintf "%s: domains=%d bit-identical" app domains)
-              true
-              (chase_fingerprint seq = chase_fingerprint par))
-          [ 2; 4 ])
-    Ekg_apps.Bundled.names
 
 let test_naive_matches_seminaive_under_planner () =
   (* multi-predicate joins so the planner actually reorders; negation
@@ -1385,40 +1336,64 @@ blocked("b").
   in
   check bool' "same fixpoint" true (dump semi = dump naive)
 
-let prop_parallel_equals_sequential =
-  QCheck2.Test.make ~name:"parallel chase is bit-identical to sequential"
-    ~count:25 edges_gen (fun raw ->
-      let facts =
-        List.map
-          (fun (i, j) ->
-            Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
-          raw
-      in
-      let { Parser.program; _ } =
-        parse_exn {|
-e(X, Y) -> path(X, Y).
-path(X, Z), e(Z, Y) -> path(X, Y).
-@goal(path).
-|}
-      in
-      match Chase.run program facts, Chase.run ~domains:3 program facts with
-      | Ok a, Ok b -> chase_fingerprint a = chase_fingerprint b
-      | _ -> false)
+(* --- join engine -------------------------------------------------------------
 
-(* --- join engines ------------------------------------------------------------
+   The columnar hash-join matcher must enumerate exactly the match
+   sequence of the nested-loop reference matcher ({!Nested_ref}) — same
+   bindings, same premises, same order — on full passes, delta-seeded
+   passes, negation and aggregation bodies.  Equal sequences are what
+   make fact ids, labelled nulls and provenance engine-independent. *)
 
-   The columnar hash-join engine must reproduce the nested-loop
-   engine's output byte-for-byte — same facts, same ids, same
-   provenance, same chase graph — on every evaluation path. *)
+let same_matches (a : Matcher.match_result list) (b : Matcher.match_result list) =
+  List.equal
+    (fun (x : Matcher.match_result) (y : Matcher.match_result) ->
+      Subst.equal x.binding y.binding && x.used_facts = y.used_facts)
+    a b
+
+let same_groups (a : Matcher.agg_result list) (b : Matcher.agg_result list) =
+  List.equal
+    (fun (x : Matcher.agg_result) (y : Matcher.agg_result) ->
+      Subst.equal x.group_binding y.group_binding
+      && Value.equal x.value y.value
+      && List.equal
+           (fun (c : Provenance.contributor) (d : Provenance.contributor) ->
+             c.facts = d.facts && Subst.equal c.binding d.binding)
+           x.contributors y.contributors)
+    a b
+
+(* Compare both engines on every rule of [program] over [db], under the
+   cost-based plan, optionally delta-seeded; [prepare] decides whether
+   the hash side probes fresh indexes or falls back to scanning where
+   an index is missing or stale. *)
+let engines_agree ?(prepare = true) ?delta (program : Program.t) db =
+  let card = Database.pred_card db in
+  List.for_all
+    (fun (r : Rule.t) ->
+      let plan = Plan.compile ~card r in
+      if Rule.has_agg r then begin
+        if prepare then ignore (Matcher.prepare db (Matcher.agg_body r) plan);
+        same_groups
+          (Matcher.match_agg_rule ~plan db r)
+          (Nested_ref.match_agg_rule ~plan db r)
+      end
+      else begin
+        if prepare then ignore (Matcher.prepare db r plan);
+        same_matches
+          (Matcher.match_rule ?delta ~plan db r)
+          (Nested_ref.match_rule ?delta ~plan db r)
+      end)
+    program.Program.rules
 
 let test_join_engines_identical_all_features () =
   (* negation, aggregation, arithmetic conditions and an existential
-     head in one program: every matcher path in a single fixpoint *)
+     head in one program: every matcher path, checked on the fixpoint
+     (superseded aggregate facts included, so inactive rows too) *)
   let src = {|
 base: e(X, Y) -> path(X, Y).
 step: path(X, Z), e(Z, Y) -> path(X, Y).
 tag: path(X, Y), label(Y, L), not blocked(X) -> tagged(X, L).
 score: path(X, Y), weight(Y, W), T = sum(W) -> total(X, T).
+big: path(X, Y), weight(Y, W), W > 2, T = sum(W), T > 4 -> heavy(X, T).
 spawn: tagged(X, L) -> handler(X, H).
 @goal(tagged).
 e("a", "b"). e("b", "c"). e("c", "d"). e("a", "c"). e("d", "a").
@@ -1428,71 +1403,159 @@ blocked("b").
 |}
   in
   let { Parser.program; facts } = parse_exn src in
-  let hash = Chase.run_exn ~join:Matcher.Hash program facts in
-  let nested = Chase.run_exn ~join:Matcher.Nested program facts in
-  check bool' "hash = nested, byte-identical" true
-    (chase_fingerprint hash = chase_fingerprint nested);
-  (* and independent of the parallel cut of the probe partitions *)
-  let hash4 = Chase.run_exn ~join:Matcher.Hash ~domains:4 program facts in
-  check bool' "hash at domains=4 identical" true
-    (chase_fingerprint hash = chase_fingerprint hash4)
+  let res = Chase.run_exn program facts in
+  check bool' "some aggregate fact superseded" true
+    (Database.active_size res.db < Database.size res.db);
+  check bool' "indexes as the chase left them: hash = nested" true
+    (engines_agree ~prepare:false program res.db);
+  check bool' "indexes prepared: hash = nested" true
+    (engines_agree program res.db);
+  let path_ids =
+    List.map (fun (f : Fact.t) -> f.Fact.id) (Database.active res.db "path")
+  in
+  let delta =
+    {
+      Matcher.mem = (fun id -> List.mem id path_ids);
+      has_pred = (fun sym -> Database.pred_sym res.db "path" = Some sym);
+    }
+  in
+  check bool' "delta passes: hash = nested" true
+    (engines_agree ~delta program res.db)
 
-let join_program_plain = {|
-e(X, Y) -> path(X, Y).
+let test_join_stats_charge_aggregates () =
+  match Ekg_apps.Bundled.load "company-control" with
+  | Error e -> Alcotest.failf "load: %s" e
+  | Ok loaded -> (
+    let program = loaded.Ekg_apps.Apps_util.pipeline.Ekg_core.Pipeline.program in
+    let sink = Ekg_obs.Metrics.create () in
+    match
+      (Chase.run_exn ~stats:sink program loaded.Ekg_apps.Apps_util.edb).Chase.stats
+    with
+    | None -> Alcotest.fail "no stats collected"
+    | Some stats -> (
+      match
+        List.find_opt
+          (fun (r : Chase.rule_stat) -> r.rule_id = "sigma3")
+          stats.per_rule
+      with
+      | None -> Alcotest.fail "no sigma3 stats"
+      | Some s ->
+        check bool' "sigma3 probe time charged" true (s.probe_s > 0.);
+        check bool' "sigma3 evaluated" true (s.evals > 0);
+        check bool' "probe hits counted" true (stats.join_probe_hits > 0)))
+
+(* digests of each bundled app's full chase output, as printed by
+   [ekg-profile <app> --fingerprint]: the engine must not move a byte *)
+let recorded_fingerprints =
+  [
+    ("company-control", "06d605798e09d92f2dec9ac0bb5f700b");
+    ("stress-test", "8d3feae6656b709cf8f620b55fa5c098");
+    ("close-link", "bea5782cff97f2fb012a6ad6f8633ffa");
+    ("golden-power", "f038631ca1d42d5a1d551ae64f670477");
+  ]
+
+let test_bundled_fingerprints_recorded () =
+  List.iter
+    (fun (app, expected) ->
+      match Ekg_apps.Bundled.load app with
+      | Error e -> Alcotest.failf "load %s: %s" app e
+      | Ok loaded ->
+        let res =
+          Chase.run_exn
+            loaded.Ekg_apps.Apps_util.pipeline.Ekg_core.Pipeline.program
+            loaded.Ekg_apps.Apps_util.edb
+        in
+        check string' app expected
+          (Digest.to_hex (Digest.string (chase_fingerprint res))))
+    recorded_fingerprints
+
+(* Random databases for the matcher oracle: edges, a partial path
+   relation, weights and labels over six nodes; some facts deactivated
+   (as superseded aggregates are) and a random subset marked as the
+   delta.  Facts are added directly, not chased, so the relations are
+   arbitrary rather than closed. *)
+let oracle_db_gen =
+  QCheck2.Gen.(
+    let fact =
+      pair (int_range 0 3) (pair (int_range 0 5) (int_range 0 5))
+    in
+    pair
+      (list_size (int_range 0 30) (pair fact (pair bool bool)))
+      bool)
+
+let oracle_db (raw, _) =
+  let db = Database.create () in
+  let node i = Value.str (Printf.sprintf "n%d" i) in
+  let delta = Hashtbl.create 16 in
+  List.iter
+    (fun ((kind, (i, j)), (inactive, in_delta)) ->
+      let pred, args =
+        match kind with
+        | 0 -> ("e", [| node i; node j |])
+        | 1 -> ("path", [| node i; node j |])
+        | 2 -> ("w", [| node i; Value.int (1 + j) |])
+        | _ -> ("label", [| node i; Value.str (if j < 3 then "low" else "high") |])
+      in
+      match Database.add db pred args with
+      | `Added f ->
+        if in_delta then Hashtbl.replace delta f.Fact.id ();
+        if inactive then Database.deactivate db f.Fact.id
+      | `Existing _ -> ())
+    raw;
+  let delta =
+    {
+      Matcher.mem = Hashtbl.mem delta;
+      has_pred =
+        (fun sym ->
+          Hashtbl.fold
+            (fun id () acc -> acc || Database.pred_sym_of_fact db id = sym)
+            delta false);
+    }
+  in
+  (db, delta)
+
+let prop_matcher_agrees ~name ~count src ~with_delta =
+  let { Parser.program; _ } = parse_exn src in
+  QCheck2.Test.make ~name ~count oracle_db_gen (fun ((_, prepare) as input) ->
+      let db, delta = oracle_db input in
+      engines_agree ~prepare program db
+      && ((not with_delta) || engines_agree ~prepare ~delta program db))
+
+let prop_join_engines_agree_naive =
+  prop_matcher_agrees ~name:"hash join = nested loop (naive full passes)"
+    ~count:100 ~with_delta:false {|
 path(X, Z), e(Z, Y) -> path(X, Y).
+e("n0", Y), e(Y, Z), e(Z, X) -> tri(X).
+e(X, Y), w(Y, W), W > 3, V = W * 2 -> heavy(X, V).
 @goal(path).
 |}
 
-(* negation across strata plus a join inside the negated stratum *)
-let join_program_negation = {|
-e(X, Y) -> reach(X, Y).
-reach(X, Z), e(Z, Y) -> reach(X, Y).
-e(X, Y), not reach(Y, X) -> oneway(X, Y).
+let prop_join_engines_agree_plain =
+  prop_matcher_agrees
+    ~name:"hash join = nested loop (recursive closure, semi-naive deltas)"
+    ~count:100 ~with_delta:true {|
+path(X, Z), e(Z, Y) -> path(X, Y).
+path(X, Y), path(Y, Z), e(Z, X) -> cycle(X).
+@goal(path).
+|}
+
+let prop_join_engines_agree_negation =
+  prop_matcher_agrees ~name:"hash join = nested loop (stratified negation)"
+    ~count:100 ~with_delta:true {|
+e(X, Y), not path(Y, X) -> oneway(X, Y).
+e(X, Y), label(Y, L), not w(X, 2) -> tagged(X, L).
 @goal(oneway).
 |}
 
-let prop_join_engines_agree program_src name =
-  QCheck2.Test.make ~name ~count:60 edges_gen (fun raw ->
-      let facts =
-        List.map
-          (fun (i, j) ->
-            Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
-          raw
-      in
-      let { Parser.program; _ } = parse_exn program_src in
-      match
-        ( Chase.run ~join:Matcher.Hash program facts,
-          Chase.run ~join:Matcher.Nested program facts )
-      with
-      | Ok h, Ok n -> chase_fingerprint h = chase_fingerprint n
-      | _ -> false)
-
-let prop_join_engines_agree_plain =
-  prop_join_engines_agree join_program_plain
-    "hash join = nested loop (recursive closure, semi-naive deltas)"
-
-let prop_join_engines_agree_negation =
-  prop_join_engines_agree join_program_negation
-    "hash join = nested loop (stratified negation)"
-
-let prop_join_engines_agree_naive =
-  (* naive mode disables delta seeding: every round re-runs full
-     passes, covering the non-delta probe path *)
-  QCheck2.Test.make ~name:"hash join = nested loop (naive full passes)"
-    ~count:30 edges_gen (fun raw ->
-      let facts =
-        List.map
-          (fun (i, j) ->
-            Atom.make "e" [ Term.str (string_of_int i); Term.str (string_of_int j) ])
-          raw
-      in
-      let { Parser.program; _ } = parse_exn join_program_plain in
-      match
-        ( Chase.run ~naive:true ~join:Matcher.Hash program facts,
-          Chase.run ~naive:true ~join:Matcher.Nested program facts )
-      with
-      | Ok h, Ok n -> chase_fingerprint h = chase_fingerprint n
-      | _ -> false)
+let prop_join_engines_agree_aggregation =
+  prop_matcher_agrees ~name:"hash join = nested loop (aggregation bodies)"
+    ~count:100 ~with_delta:false {|
+path(X, Y), w(Y, W), T = sum(W) -> total(X, T).
+e(X, Y), w(Y, W), W > 2, T = sum(W), T > 5 -> big(X, T).
+e(X, Y), not path(Y, X), C = count(Y) -> fanout(X, C).
+e(X, Y), label(Y, L), w(Y, W), M = max(W) -> peak(X, L, M).
+@goal(total).
+|}
 
 (* --- budgets and cooperative cancellation ----------------------------------- *)
 
@@ -1989,10 +2052,10 @@ let qsuite =
       prop_chase_deterministic;
       prop_magic_equals_full_chase;
       prop_query_lane_equals_materialization;
-      prop_parallel_equals_sequential;
       prop_join_engines_agree_plain;
       prop_join_engines_agree_negation;
       prop_join_engines_agree_naive;
+      prop_join_engines_agree_aggregation;
       prop_unlimited_budget_is_identity;
       prop_incremental_equals_cold;
       prop_incremental_negation_equals_cold;
@@ -2157,13 +2220,17 @@ let () =
           Alcotest.test_case "plan ordering" `Quick test_plan_ordering;
           Alcotest.test_case "exists_matching" `Quick test_exists_matching;
           Alcotest.test_case "pred_card" `Quick test_pred_card;
-          Alcotest.test_case "par map" `Quick test_par_map;
-          Alcotest.test_case "bundled apps bit-identical" `Quick
-            test_parallel_identical_on_bundled_apps;
           Alcotest.test_case "naive = semi-naive under planner" `Quick
             test_naive_matches_seminaive_under_planner;
           Alcotest.test_case "join engines byte-identical" `Quick
             test_join_engines_identical_all_features;
+        ] );
+      ( "join engine",
+        [
+          Alcotest.test_case "join stats charge aggregate rules" `Quick
+            test_join_stats_charge_aggregates;
+          Alcotest.test_case "bundled app fingerprints recorded" `Quick
+            test_bundled_fingerprints_recorded;
         ] );
       ("properties", qsuite);
     ]

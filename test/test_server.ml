@@ -1313,7 +1313,7 @@ let wide_event_keys =
     "ts"; "level"; "event"; "duration_ms"; "trace_id"; "method"; "target";
     "endpoint"; "status"; "error_code"; "queue_wait_ms"; "session";
     "cache_hit"; "degraded"; "chase_source"; "chase_rounds"; "chase_facts";
-    "plan_reorders"; "join_strategy"; "snapshot_scheduled"; "shed";
+    "plan_reorders"; "snapshot_scheduled"; "shed";
     "gc_minor_collections";
     "gc_major_collections"; "gc_promoted_words"; "gc_minor_words";
   ]
@@ -1375,12 +1375,6 @@ let test_wide_event_chase_fields () =
       (Json.mem_str "session" explained = Some "s1");
     check bool' "cold explain chased" true
       (Json.mem_str "chase_source" explained = Some "chased");
-    check bool' "chased request records its join engine" true
-      (match Json.mem_str "join_strategy" explained with
-      | Some ("hash" | "nested") -> true
-      | Some _ | None -> false);
-    check bool' "non-chased request has no join engine" true
-      (Json.mem_str "join_strategy" notfound = Some "none");
     check bool' "chase rounds counted" true
       (match Json.mem_int "chase_rounds" explained with
       | Some n -> n > 0
@@ -1400,19 +1394,6 @@ let test_wide_event_chase_fields () =
     check bool' "404 error code" true
       (Json.mem_str "error_code" notfound = Some "not_found")
   | l -> Alcotest.failf "expected 4 wide events, got %d" (List.length l)
-
-let test_chase_span_utilization_labels () =
-  let st = Router.make_state ~chase_domains:2 () in
-  create_inline_session st;
-  check int' "explain ok" 200 (explain_inline st "s1").Http.status;
-  let trace =
-    Router.handle st (request Http.GET [ "v1"; "sessions"; "s1"; "trace" ])
-  in
-  check int' "trace served" 200 trace.Http.status;
-  let body = trace.Http.resp_body in
-  check bool' "workers label" true (contains body {|"workers":"2"|});
-  check bool' "busy clock label" true (contains body "worker_busy_ms");
-  check bool' "utilization label" true (contains body "utilization")
 
 (* --- goal-directed query lane ------------------------------------------------ *)
 
@@ -2275,8 +2256,6 @@ let () =
             test_wide_event_per_request;
           Alcotest.test_case "chase + cache fields" `Quick
             test_wide_event_chase_fields;
-          Alcotest.test_case "chase span utilization labels" `Quick
-            test_chase_span_utilization_labels;
           Alcotest.test_case "legacy trace redirect" `Quick
             test_legacy_trace_redirect;
         ] );
