@@ -588,15 +588,14 @@ let join_micro () =
   let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   assert (built > 0);
   let g = Option.get (Database.Cols.find db ~sym ~arity:2) in
+  let ix = Option.get (Database.index_handle g ~mask:1) in
   let probes = 500_000 in
   let hits = ref 0 in
   let t0 = Unix.gettimeofday () in
   for i = 0 to probes - 1 do
     let vid = Database.value_id db (Ekg_kernel.Value.int keys.(i mod rows)) in
     let hash = Database.key_hash_add 0 vid in
-    match Database.probe g ~mask:1 ~hash with
-    | Some bucket -> hits := !hits + Intvec.length bucket
-    | None -> assert false
+    hits := !hits + Intvec.length (Database.probe_handle ix ~hash)
   done;
   let probe_ns =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int probes

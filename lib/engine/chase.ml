@@ -847,18 +847,15 @@ let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
   match run_checked ?max_rounds ?budget program (!base @ adds) with
   | Error _ as e -> e
   | Ok fresh ->
-    (* observable diff for the update report: compare rendered active
-       instances (both small relative to the chase itself) *)
-    let dump (db : Database.t) =
-      let tbl = Hashtbl.create 256 in
-      List.iter
-        (fun (f : Fact.t) -> Hashtbl.replace tbl (Fact.to_string f) ())
-        (Database.active_all db);
-      tbl
-    in
-    let before = dump res.db and after = dump fresh.db in
+    (* observable diff for the update report: active facts of one
+       instance that the other does not hold active *)
     let count_missing a b =
-      Hashtbl.fold (fun k () n -> if Hashtbl.mem b k then n else n + 1) a 0
+      List.fold_left
+        (fun n (f : Fact.t) ->
+          match Database.find_exact b f.Fact.pred f.Fact.args with
+          | Some g when Database.is_active b g.Fact.id -> n
+          | Some _ | None -> n + 1)
+        0 (Database.active_all a)
     in
     let seeds =
       List.sort_uniq String.compare
@@ -870,8 +867,8 @@ let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
         {
           upd_incremental = false;
           upd_rounds = fresh.rounds;
-          upd_added = count_missing after before;
-          upd_retracted = count_missing before after;
+          upd_added = count_missing fresh.db res.db;
+          upd_retracted = count_missing res.db fresh.db;
           upd_rederived = 0;
           upd_changed_preds = affected_preds program seeds;
         } )

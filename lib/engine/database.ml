@@ -1,33 +1,6 @@
 open Ekg_kernel
 open Ekg_datalog
 
-(* primary key: interned predicate symbol + ground tuple *)
-module Key = struct
-  type t = int * Value.t array
-
-  let equal (p1, a1) (p2, a2) =
-    p1 = p2
-    && Array.length a1 = Array.length a2
-    &&
-    let ok = ref true in
-    Array.iteri (fun i v -> if not (Value.equal v a2.(i)) then ok := false) a1;
-    !ok
-
-  let hash (p, a) = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) p a
-end
-
-module KeyTbl = Hashtbl.Make (Key)
-
-(* secondary index: facts by (predicate symbol, argument position, value) *)
-module ArgKey = struct
-  type t = int * int * Value.t
-
-  let equal (p1, i1, v1) (p2, i2, v2) = p1 = p2 && i1 = i2 && Value.equal v1 v2
-  let hash (p, i, v) = (p * 31) + (i * 7) + Value.hash v
-end
-
-module ArgTbl = Hashtbl.Make (ArgKey)
-
 (* value interning: one dense id per [Value.equal]-class.  The matcher's
    hash-join core compares and hashes interned ids instead of values —
    [Value.equal] identifies numerically equal [Int]/[Num] values, so the
@@ -42,8 +15,8 @@ end)
 
 let no_fact = { Fact.id = -1; pred = ""; args = [||] }
 
-(* read-only: the "no posting" result of index probes *)
-let empty_posting = Intvec.create ~capacity:1 ()
+(* read-only: the "no bucket" result of index probes *)
+let empty_bucket = Intvec.create ~capacity:1 ()
 
 (* A multi-column hash index over a column group, keyed by a bitmask of
    key columns.  Buckets hold row numbers in ascending order (rows are
@@ -57,11 +30,11 @@ let empty_posting = Intvec.create ~capacity:1 ()
    partial match (millions per round on dense joins) and a probe here
    is a multiply, a mask and an array walk — no seeded rehash of the
    key, no option or bucket-list allocation.  A slot is empty iff its
-   bucket is physically [empty_posting]; live buckets are always
+   bucket is physically [empty_bucket]; live buckets are always
    freshly allocated, so the sentinel is unambiguous. *)
 type colindex = {
   mutable ix_keys : int array;      (* full key hash per slot *)
-  mutable ix_buckets : Intvec.t array;  (* rows, ascending; empty_posting = free *)
+  mutable ix_buckets : Intvec.t array;  (* rows, ascending; empty_bucket = free *)
   mutable ix_used : int;            (* live slots; capacity kept > 2x *)
   mutable ix_cap_mask : int;        (* capacity - 1, capacity a power of 2 *)
   mutable ix_rows : int;            (* rows [0, ix_rows) are indexed *)
@@ -70,7 +43,7 @@ type colindex = {
 let ix_create () =
   {
     ix_keys = Array.make 16 0;
-    ix_buckets = Array.make 16 empty_posting;
+    ix_buckets = Array.make 16 empty_bucket;
     ix_used = 0;
     ix_cap_mask = 15;
     ix_rows = 0;
@@ -85,7 +58,7 @@ let ix_find ix h =
   let cap_mask = ix.ix_cap_mask in
   let i = ref (ix_slot cap_mask h) in
   while
-    ix.ix_buckets.(!i) != empty_posting && ix.ix_keys.(!i) <> h
+    ix.ix_buckets.(!i) != empty_bucket && ix.ix_keys.(!i) <> h
   do
     i := (!i + 1) land cap_mask
   done;
@@ -95,11 +68,11 @@ let ix_grow ix =
   let old_keys = ix.ix_keys and old_buckets = ix.ix_buckets in
   let cap = 2 * (ix.ix_cap_mask + 1) in
   ix.ix_keys <- Array.make cap 0;
-  ix.ix_buckets <- Array.make cap empty_posting;
+  ix.ix_buckets <- Array.make cap empty_bucket;
   ix.ix_cap_mask <- cap - 1;
   Array.iteri
     (fun i bucket ->
-      if bucket != empty_posting then begin
+      if bucket != empty_bucket then begin
         let s = ix_find ix old_keys.(i) in
         ix.ix_keys.(s) <- old_keys.(i);
         ix.ix_buckets.(s) <- bucket
@@ -109,7 +82,7 @@ let ix_grow ix =
 let ix_add ix h row =
   if 2 * (ix.ix_used + 1) > ix.ix_cap_mask + 1 then ix_grow ix;
   let s = ix_find ix h in
-  if ix.ix_buckets.(s) != empty_posting then Intvec.push ix.ix_buckets.(s) row
+  if ix.ix_buckets.(s) != empty_bucket then Intvec.push ix.ix_buckets.(s) row
   else begin
     let vec = Intvec.create ~capacity:4 () in
     Intvec.push vec row;
@@ -123,11 +96,21 @@ let ix_add ix h row =
    [cg_rows] maps row number back to fact id.  Row order is insertion
    order, i.e. ascending fact id — the property that makes the
    hash-join matcher enumerate matches in a nested-loop matcher's
-   order exactly. *)
+   order exactly.
+
+   [cg_slots] is the group's unique key over all its columns — the
+   set-semantics dedup of [add] and the point lookup of [find_exact].
+   It is open-addressing with linear probing, and a slot holds the row
+   itself ([-1] = free), so an entry costs one int: no key tuple, no
+   bucket cell.  Keys are not stored: a probe compares a candidate
+   row's columns, and growth re-hashes rows from the columns.  Capacity
+   stays above twice the row count.  Unlike [cg_indexes] it is
+   maintained eagerly by [add] and is part of the store, not a cache. *)
 type colgroup = {
   cg_arity : int;
   cg_cols : Intvec.t array;            (* per argument position: vids *)
   cg_rows : Intvec.t;                  (* row -> fact id *)
+  mutable cg_slots : int array;        (* unique key: row per slot, -1 = free *)
   cg_indexes : (int, colindex) Hashtbl.t;  (* key-column mask -> index *)
 }
 
@@ -136,14 +119,12 @@ type t = {
   (* fact ids are dense from 0: both stores are flat growable arrays *)
   mutable facts : Fact.t array;            (* fact by id *)
   fact_syms : Intvec.t;                    (* pred symbol by fact id *)
-  by_key : int KeyTbl.t;
-  mutable by_pred : Intvec.t array;        (* posting list by pred symbol *)
-  by_arg : Intvec.t ArgTbl.t;
   (* activation state: one bit per fact id, set = active *)
   mutable active_bits : Bytes.t;
   mutable inactive_count : int;
-  (* columnar representation *)
-  cols : (int * int, colgroup) Hashtbl.t;  (* (sym, arity) -> group *)
+  (* columnar representation: the column groups of each pred symbol,
+     one per arity it was inserted at *)
+  mutable groups : colgroup list array;
   val_ids : int ValTbl.t;                  (* value -> vid *)
   mutable val_arr : Value.t array;         (* vid -> first-interned value *)
   mutable val_count : int;
@@ -156,12 +137,9 @@ let create () =
     syms = Symtab.create ();
     facts = Array.make 256 no_fact;
     fact_syms = Intvec.create ~capacity:256 ();
-    by_key = KeyTbl.create 256;
-    by_pred = Array.make 16 (Intvec.create ~capacity:0 ());
-    by_arg = ArgTbl.create 1024;
     active_bits = Bytes.make 32 '\000';
     inactive_count = 0;
-    cols = Hashtbl.create 32;
+    groups = Array.make 16 [];
     val_ids = ValTbl.create 1024;
     val_arr = Array.make 256 (Value.Int 0);
     val_count = 0;
@@ -171,40 +149,26 @@ let create () =
 
 let copy t =
   (* facts and their tuples are immutable once inserted, so sharing the
-     Fact.t values is safe; every mutable container is copied.  Unused
-     by_pred slots alias one shared empty vector, exactly as in
-     [create] — [intern] installs a fresh posting before any push.
-     Column-group hash indexes are {e not} copied: they are pure caches
-     that [ensure_index] rebuilds on demand. *)
-  let by_pred =
-    Array.make (Array.length t.by_pred) (Intvec.create ~capacity:0 ())
+     Fact.t values is safe; every mutable container is copied, the
+     unique-key slots included.  Column-group hash indexes are {e not}
+     copied: they are pure caches that [ensure_index] rebuilds on
+     demand. *)
+  let copy_group (g : colgroup) =
+    {
+      cg_arity = g.cg_arity;
+      cg_cols = Array.map Intvec.copy g.cg_cols;
+      cg_rows = Intvec.copy g.cg_rows;
+      cg_slots = Array.copy g.cg_slots;
+      cg_indexes = Hashtbl.create 4;
+    }
   in
-  for sym = 0 to Symtab.size t.syms - 1 do
-    by_pred.(sym) <- Intvec.copy t.by_pred.(sym)
-  done;
-  let by_arg = ArgTbl.create (max 1024 (ArgTbl.length t.by_arg)) in
-  ArgTbl.iter (fun k vec -> ArgTbl.add by_arg k (Intvec.copy vec)) t.by_arg;
-  let cols = Hashtbl.create (max 32 (Hashtbl.length t.cols)) in
-  Hashtbl.iter
-    (fun k (g : colgroup) ->
-      Hashtbl.add cols k
-        {
-          cg_arity = g.cg_arity;
-          cg_cols = Array.map Intvec.copy g.cg_cols;
-          cg_rows = Intvec.copy g.cg_rows;
-          cg_indexes = Hashtbl.create 4;
-        })
-    t.cols;
   {
     syms = Symtab.copy t.syms;
     facts = Array.copy t.facts;
     fact_syms = Intvec.copy t.fact_syms;
-    by_key = KeyTbl.copy t.by_key;
-    by_pred;
-    by_arg;
     active_bits = Bytes.copy t.active_bits;
     inactive_count = t.inactive_count;
-    cols;
+    groups = Array.map (List.map copy_group) t.groups;
     val_ids = ValTbl.copy t.val_ids;
     val_arr = Array.copy t.val_arr;
     val_count = t.val_count;
@@ -213,27 +177,23 @@ let copy t =
   }
 
 let intern t pred =
-  let before = Symtab.size t.syms in
   let sym = Symtab.intern t.syms pred in
-  if Symtab.size t.syms > before then begin
-    (* fresh symbol: make room and install its own posting list (the
-       initial array slots alias one shared empty vector) *)
-    if sym >= Array.length t.by_pred then begin
-      let grown =
-        Array.make (max (2 * Array.length t.by_pred) (sym + 1)) t.by_pred.(0)
-      in
-      Array.blit t.by_pred 0 grown 0 (Array.length t.by_pred);
-      t.by_pred <- grown
-    end;
-    t.by_pred.(sym) <- Intvec.create ()
+  if sym >= Array.length t.groups then begin
+    let grown = Array.make (max (2 * Array.length t.groups) (sym + 1)) [] in
+    Array.blit t.groups 0 grown 0 (Array.length t.groups);
+    t.groups <- grown
   end;
   sym
 
 let pred_sym t pred = Symtab.find t.syms pred
 
-let posting t sym =
-  if sym >= 0 && sym < Array.length t.by_pred then t.by_pred.(sym)
-  else invalid_arg "Database.posting"
+(* every column group of a predicate, in arity-creation order *)
+let groups_of t pred =
+  match Symtab.find t.syms pred with None -> [] | Some sym -> t.groups.(sym)
+
+let find_group t ~sym ~arity =
+  if sym < 0 || sym >= Array.length t.groups then None
+  else List.find_opt (fun g -> g.cg_arity = arity) t.groups.(sym)
 
 (* --- activation bitmap ------------------------------------------------------ *)
 
@@ -278,8 +238,17 @@ let intern_value t v =
     ValTbl.add t.val_ids v vid;
     vid
 
+let value_id t v =
+  match ValTbl.find_opt t.val_ids v with Some vid -> vid | None -> -1
+
+(* Deterministic key mixing (pure 63-bit int arithmetic, no per-process
+   seed); [ix_slot] spreads the result over a table, and collisions are
+   re-checked column-by-column, so the combiner only needs to spread,
+   not avalanche. *)
+let key_hash_add acc vid = (acc * 1000003) + vid
+
 let colgroup_of t sym arity =
-  match Hashtbl.find_opt t.cols (sym, arity) with
+  match find_group t ~sym ~arity with
   | Some g -> g
   | None ->
     let g =
@@ -287,18 +256,67 @@ let colgroup_of t sym arity =
         cg_arity = arity;
         cg_cols = Array.init arity (fun _ -> Intvec.create ~capacity:16 ());
         cg_rows = Intvec.create ~capacity:16 ();
+        cg_slots = Array.make 4 (-1);
         cg_indexes = Hashtbl.create 4;
       }
     in
-    Hashtbl.add t.cols (sym, arity) g;
+    t.groups.(sym) <- t.groups.(sym) @ [ g ];
     g
+
+let row_hash (g : colgroup) row =
+  let h = ref 0 in
+  for c = 0 to g.cg_arity - 1 do
+    h := key_hash_add !h (Intvec.unsafe_get g.cg_cols.(c) row)
+  done;
+  !h
+
+(* the row whose columns equal [vids] (all interned), or -1 — a pure
+   read *)
+let key_row (g : colgroup) vids =
+  let slots = g.cg_slots in
+  let cap_mask = Array.length slots - 1 in
+  let i = ref (ix_slot cap_mask (Array.fold_left key_hash_add 0 vids)) in
+  let row_differs row =
+    let c = ref 0 in
+    while !c < g.cg_arity && Intvec.unsafe_get g.cg_cols.(!c) row = vids.(!c) do
+      incr c
+    done;
+    !c < g.cg_arity
+  in
+  while slots.(!i) >= 0 && row_differs slots.(!i) do
+    i := (!i + 1) land cap_mask
+  done;
+  slots.(!i)
+
+(* key a new row into the first free slot of its probe chain *)
+let uk_insert (g : colgroup) row =
+  let cap_mask = Array.length g.cg_slots - 1 in
+  let i = ref (ix_slot cap_mask (row_hash g row)) in
+  while g.cg_slots.(!i) >= 0 do
+    i := (!i + 1) land cap_mask
+  done;
+  g.cg_slots.(!i) <- row
+
+(* append a row of [vids] and key it; the caller checked it is new *)
+let uk_append (g : colgroup) vids id =
+  let row = Intvec.length g.cg_rows in
+  Array.iteri (fun i vid -> Intvec.push g.cg_cols.(i) vid) vids;
+  Intvec.push g.cg_rows id;
+  if 2 * (row + 1) > Array.length g.cg_slots then begin
+    g.cg_slots <- Array.make (2 * Array.length g.cg_slots) (-1);
+    for r = 0 to row do
+      uk_insert g r
+    done
+  end
+  else uk_insert g row
 
 let add t pred args =
   let sym = intern t pred in
-  let key = (sym, args) in
-  match KeyTbl.find_opt t.by_key key with
-  | Some id -> `Existing t.facts.(id)
-  | None ->
+  let g = colgroup_of t sym (Array.length args) in
+  let vids = Array.map (value_id t) args in
+  let row = if Array.for_all (fun vid -> vid >= 0) vids then key_row g vids else -1 in
+  if row >= 0 then `Existing t.facts.(Intvec.unsafe_get g.cg_rows row)
+  else begin
     let id = t.next_id in
     t.next_id <- id + 1;
     let f = { Fact.id; pred; args } in
@@ -309,24 +327,11 @@ let add t pred args =
     end;
     t.facts.(id) <- f;
     Intvec.push t.fact_syms sym;
-    KeyTbl.add t.by_key key id;
-    Intvec.push t.by_pred.(sym) id;
     bit_set t id;
-    Array.iteri
-      (fun i v ->
-        let k = (sym, i, v) in
-        match ArgTbl.find_opt t.by_arg k with
-        | Some vec -> Intvec.push vec id
-        | None ->
-          let vec = Intvec.create () in
-          Intvec.push vec id;
-          ArgTbl.add t.by_arg k vec)
-      args;
-    (* columnar mirror: append one row of interned value ids *)
-    let g = colgroup_of t sym (Array.length args) in
-    Array.iteri (fun i v -> Intvec.push g.cg_cols.(i) (intern_value t v)) args;
-    Intvec.push g.cg_rows id;
+    Array.iteri (fun i vid -> if vid < 0 then vids.(i) <- intern_value t args.(i)) vids;
+    uk_append g vids id;
     `Added f
+  end
 
 let add_atom t (a : Atom.t) =
   if not (Atom.is_ground a) then Error ("non-ground fact: " ^ Atom.to_string a)
@@ -361,37 +366,30 @@ let pred_sym_of_fact t id =
   if id < 0 || id >= t.next_id then raise Not_found;
   Intvec.get t.fact_syms id
 
+let group_of t pred arity =
+  Option.bind (pred_sym t pred) (fun sym -> find_group t ~sym ~arity)
+
 let find_exact t pred args =
-  match Symtab.find t.syms pred with
-  | None -> None
-  | Some sym ->
-    Option.map (fun id -> t.facts.(id)) (KeyTbl.find_opt t.by_key (sym, args))
+  let vids = Array.map (value_id t) args in
+  match group_of t pred (Array.length args) with
+  | Some g when Array.for_all (fun vid -> vid >= 0) vids ->
+    let row = key_row g vids in
+    if row < 0 then None else Some t.facts.(Intvec.unsafe_get g.cg_rows row)
+  | Some _ | None -> None
 
-let ids_of_pred t pred =
-  match Symtab.find t.syms pred with
-  | None -> []
-  | Some sym -> Intvec.to_list (posting t sym)
+(* the fact ids of a predicate's rows that satisfy [keep], ascending
+   across all its arities *)
+let pred_ids t pred keep =
+  let ids g = List.filter keep (Intvec.to_list g.cg_rows) in
+  match groups_of t pred with
+  | [ g ] -> ids g
+  | groups -> List.sort Int.compare (List.concat_map ids groups)
 
-let all_of_pred t pred = List.map (fact t) (ids_of_pred t pred)
-
-let active t pred =
-  match Symtab.find t.syms pred with
-  | None -> []
-  | Some sym ->
-    Intvec.fold_left
-      (fun acc id -> if is_active t id then t.facts.(id) :: acc else acc)
-      [] (posting t sym)
-    |> List.rev
+let all_of_pred t pred = List.map (fact t) (pred_ids t pred (fun _ -> true))
+let active t pred = List.map (fact t) (pred_ids t pred (is_active t))
 
 let pred_card t pred =
-  match Symtab.find t.syms pred with
-  | None -> 0
-  | Some sym -> Intvec.length (posting t sym)
-
-let preds t =
-  let acc = ref [] in
-  Symtab.iter (fun _ name -> acc := name :: !acc) t.syms;
-  List.sort String.compare !acc
+  List.fold_left (fun n g -> n + Intvec.length g.cg_rows) 0 (groups_of t pred)
 
 let active_all t =
   let acc = ref [] in
@@ -415,52 +413,74 @@ let fresh_null t =
   t.null_counter <- i + 1;
   Value.null i
 
-(* The narrowest candidate posting for a pattern under a substitution:
-   the shortest argument index over the bound positions, else the full
-   predicate posting.  Lengths are O(1), so probing every bound
-   position costs a few hash lookups, not list walks. *)
-let candidates t sym (pattern : Atom.t) subst =
-  let best = ref None in
-  List.iteri
-    (fun i (term : Term.t) ->
+(* The interned ids of a pattern's positions under [subst], [-1] where
+   the position is free; [None] when a constant or bound value was
+   never stored, so nothing can match.  Never interns. *)
+let pattern_ids t (pattern : Atom.t) subst =
+  let ids = Array.make (List.length pattern.args) (-1) in
+  let rec go i = function
+    | [] -> Some ids
+    | (term : Term.t) :: rest -> (
       let bound =
-        match term with
-        | Term.Cst c -> Some c
-        | Term.Var v -> Subst.find subst v
+        match term with Term.Cst c -> Some c | Term.Var v -> Subst.find subst v
       in
       match bound with
-      | None -> ()
+      | None -> go (i + 1) rest
       | Some v ->
-        let vec =
-          match ArgTbl.find_opt t.by_arg (sym, i, v) with
-          | Some vec -> vec
-          | None -> empty_posting
-        in
-        (match !best with
-        | Some shorter when Intvec.length shorter <= Intvec.length vec -> ()
-        | Some _ | None -> best := Some vec))
-    pattern.args;
-  match !best with Some vec -> vec | None -> posting t sym
-
-let matching t (pattern : Atom.t) subst =
-  match Symtab.find t.syms pattern.pred with
-  | None -> []
-  | Some sym ->
-    let arity = List.length pattern.args in
-    Intvec.fold_left
-      (fun acc id ->
-        if not (is_active t id) then acc
+        let vid = value_id t v in
+        if vid < 0 then None
         else begin
-          let f = t.facts.(id) in
-          if Array.length f.Fact.args <> arity then acc
-          else
-            match Subst.match_atom subst ~pattern f.Fact.args with
-            | Some s -> (f, s) :: acc
-            | None -> acc
+          ids.(i) <- vid;
+          go (i + 1) rest
         end)
-      []
-      (candidates t sym pattern subst)
-    |> List.rev
+  in
+  go 0 pattern.args
+
+(* Active matches of [pattern] under [subst], ascending id; [first]
+   stops after one.  A fully bound pattern is a unique-key probe;
+   otherwise the group's id columns are scanned.  Bindings come from
+   the stored tuple through [Subst.match_atom], which also enforces
+   repeated free variables. *)
+let find_matches t (pattern : Atom.t) subst ~first =
+  let arity = List.length pattern.args in
+  match (group_of t pattern.pred arity, pattern_ids t pattern subst) with
+  | None, _ | _, None -> []
+  | Some g, Some ids ->
+    let try_row row acc =
+      let id = Intvec.unsafe_get g.cg_rows row in
+      if not (bit_get t id) then acc
+      else
+        let f = t.facts.(id) in
+        match Subst.match_atom subst ~pattern f.Fact.args with
+        | Some s -> (f, s) :: acc
+        | None -> acc
+    in
+    if Array.for_all (fun vid -> vid >= 0) ids then begin
+      let row = key_row g ids in
+      if row < 0 then [] else try_row row []
+    end
+    else begin
+      let row_fits row =
+        let c = ref 0 in
+        while
+          !c < arity
+          && (ids.(!c) < 0 || Intvec.unsafe_get g.cg_cols.(!c) row = ids.(!c))
+        do
+          incr c
+        done;
+        !c = arity
+      in
+      let acc = ref [] and row = ref 0 in
+      let rows = Intvec.length g.cg_rows in
+      while !row < rows && not (first && !acc <> []) do
+        if row_fits !row then acc := try_row !row !acc;
+        incr row
+      done;
+      List.rev !acc
+    end
+
+let matching t pattern subst = find_matches t pattern subst ~first:false
+let exists_matching t pattern subst = find_matches t pattern subst ~first:true <> []
 
 (* --- columnar access and hash indexes ---------------------------------------
 
@@ -468,36 +488,27 @@ let matching t (pattern : Atom.t) subst =
    pattern's constants through [value_id], folds the ids of the
    planner-chosen key columns through [key_hash_add], and probes the
    colgroup's index for the bucket of candidate rows.  Buckets keep rows
-   in ascending order, so the probe enumerates facts in exactly the
-   ascending-id order the posting scans did. *)
+   in ascending order, so the probe enumerates facts in ascending id
+   order, exactly as a scan of the group would. *)
 
 module Cols = struct
   type group = colgroup
 
-  let find t ~sym ~arity = Hashtbl.find_opt t.cols (sym, arity)
+  let find = find_group
   let rows (g : group) = Intvec.length g.cg_rows
   let arity (g : group) = g.cg_arity
   let fact_id (g : group) row = Intvec.unsafe_get g.cg_rows row
   let col (g : group) i row = Intvec.unsafe_get g.cg_cols.(i) row
 end
 
-let value_id t v =
-  match ValTbl.find_opt t.val_ids v with Some vid -> vid | None -> -1
-
 let value_of_id t vid =
   if vid < 0 || vid >= t.val_count then invalid_arg "Database.value_of_id";
   t.val_arr.(vid)
 
-(* Deterministic key mixing (pure 63-bit int arithmetic, no per-process
-   seed): the stdlib hashes the resulting int key again on the way into
-   the bucket table, and collisions are re-checked column-by-column at
-   probe time, so the combiner only needs to spread, not avalanche. *)
-let key_hash_add acc vid = (acc * 1000003) + vid
-
 let ensure_index t ~sym ~arity ~mask =
   if mask = 0 then 0
   else
-    match Hashtbl.find_opt t.cols (sym, arity) with
+    match find_group t ~sym ~arity with
     | None -> 0
     | Some g ->
       let ix =
@@ -538,11 +549,11 @@ let probe_handle (ix : index_handle) ~hash =
   let cap_mask = ix.ix_cap_mask in
   let keys = ix.ix_keys and buckets = ix.ix_buckets in
   let i = ref (ix_slot cap_mask hash) in
-  let res = ref empty_posting in
+  let res = ref empty_bucket in
   let searching = ref true in
   while !searching do
     let b = Array.unsafe_get buckets !i in
-    if b == empty_posting then searching := false
+    if b == empty_bucket then searching := false
     else if Array.unsafe_get keys !i = hash then begin
       res := b;
       searching := false
@@ -551,35 +562,13 @@ let probe_handle (ix : index_handle) ~hash =
   done;
   !res
 
-let probe (g : Cols.group) ~mask ~hash =
-  match Hashtbl.find_opt g.cg_indexes mask with
-  | None -> None
-  | Some ix ->
-    if ix.ix_rows <> Intvec.length g.cg_rows then None (* stale: caller scans *)
-    else Some (probe_handle ix ~hash)
-
-let exists_matching t (pattern : Atom.t) subst =
-  match Symtab.find t.syms pattern.pred with
-  | None -> false
-  | Some sym ->
-    let arity = List.length pattern.args in
-    Intvec.exists
-      (fun id ->
-        is_active t id
-        &&
-        let f = t.facts.(id) in
-        Array.length f.Fact.args = arity
-        && Subst.match_atom subst ~pattern f.Fact.args <> None)
-      (candidates t sym pattern subst)
-
 (* --- snapshot codec ----------------------------------------------------------
 
-   The encoding stores the insertion sequence, not the index
-   structures: [decode] replays every fact through [add] in id order,
-   which rebuilds [by_key]/[by_pred]/[by_arg] {e and} the columnar
-   representation (column groups, interned value ids, activation
-   bitmap) and re-interns predicates in exactly the original order
-   (symbols are assigned at first insertion).  The symbol table is
+   The encoding stores the insertion sequence, not the column groups:
+   [decode] replays every fact through [add] in id order, which
+   rebuilds the groups with their unique keys, the interned value ids
+   and the activation bitmap, and re-interns predicates in exactly the
+   original order (symbols are assigned at first insertion).  The symbol table is
    still written explicitly so decode can verify the replay reproduced
    it bit-for-bit.  Hash-join indexes are caches and are not
    persisted — [ensure_index] rebuilds them on demand. *)

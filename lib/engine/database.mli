@@ -1,7 +1,10 @@
-(** Indexed fact store with set semantics.
+(** Columnar fact store with set semantics.
 
     Facts are deduplicated on their (predicate, tuple); each inserted
-    fact receives a stable id.  Facts can be {e deactivated}: a
+    fact receives a stable id.  The per-(predicate, arity) column groups
+    described under {!Cols} are the store's only index: they answer
+    dedup, exact lookup, pattern matching and cardinality, and the
+    matcher's hash joins build on them.  Facts can be {e deactivated}: a
     deactivated fact stays addressable by id (the chase graph may
     reference it) but no longer participates in rule matching.  The
     chase uses deactivation to supersede stale monotonic-aggregation
@@ -15,11 +18,12 @@ type t
 val create : unit -> t
 
 val copy : t -> t
-(** Independent copy of the full store — facts, ids, indexes,
-    activation state, null counter.  Mutations to either database never
-    show through the other, so a reader can keep using the original
-    while an incremental update runs against the copy
-    ({!Chase.copy_result}).  O(facts + index entries). *)
+(** Independent copy of the full store — facts, ids, column groups
+    with their unique keys, activation state, null counter.  Mutations
+    to either database never show through the other, so a reader can
+    keep using the original while an incremental update runs against
+    the copy ({!Chase.copy_result}).  O(facts); hash-join indexes are
+    caches, not copied, and {!ensure_index} rebuilds them on demand. *)
 
 val add : t -> string -> Value.t array -> [ `Added of Fact.t | `Existing of Fact.t ]
 (** Insert or retrieve. A previously deactivated identical tuple is
@@ -55,19 +59,17 @@ val fact : t -> int -> Fact.t
 (** Raises [Not_found] for unknown ids. *)
 
 val find_exact : t -> string -> Value.t array -> Fact.t option
-(** Lookup by tuple regardless of activity. *)
+(** Lookup by tuple regardless of activity: one unique-key probe of the
+    tuple's column group.  A pure read — it never interns a value. *)
 
 val active : t -> string -> Fact.t list
-(** Active facts of a predicate, in insertion order. *)
+(** Active facts of a predicate at every arity, in insertion order. *)
 
 val all_of_pred : t -> string -> Fact.t list
-(** Active and inactive, in insertion order. *)
+(** Active and inactive, at every arity, in insertion order. *)
 
 val active_all : t -> Fact.t list
 (** All active facts, insertion order. *)
-
-val preds : t -> string list
-(** Predicates with at least one fact, sorted. *)
 
 val size : t -> int
 (** Number of facts ever inserted (active + inactive). *)
@@ -80,7 +82,10 @@ val fresh_null : t -> Value.t
 val matching : t -> Atom.t -> Subst.t -> (Fact.t * Subst.t) list
 (** Active facts of the pattern's predicate that the pattern maps onto
     under an extension of the given substitution, with the extended
-    substitution. *)
+    substitution, in ascending id order.  A fully bound pattern is one
+    unique-key probe; otherwise the pattern's column group is scanned.
+    A pure read: it never interns a value or builds an index, so it is
+    safe on a published database while no writer mutates it. *)
 
 val exists_matching : t -> Atom.t -> Subst.t -> bool
 (** Whether {!matching} would be non-empty, without materializing the
@@ -91,7 +96,7 @@ val exists_matching : t -> Atom.t -> Subst.t -> bool
 
     Predicate names are interned to dense ints on first insertion;
     the matcher and the chase key their hot-path lookups (delta
-    membership, posting lengths) on these symbols instead of hashing
+    membership, column-group lookup) on these symbols instead of hashing
     strings. *)
 
 val pred_sym : t -> string -> int option
@@ -103,24 +108,27 @@ val pred_sym_of_fact : t -> int -> int
 
 val pred_card : t -> string -> int
 (** Number of facts ever inserted for the predicate (active +
-    inactive), in O(1) — the join planner's cardinality estimate. *)
+    inactive, every arity) — the join planner's cardinality estimate.
+    O(arities of the predicate). *)
 
 (** {1 Columnar storage and hash-join indexes}
 
-    Alongside the tuple store, facts are mirrored into a
-    struct-of-arrays representation: one {e column group} per
-    (predicate symbol, arity), holding a flat column of interned value
+    Every fact is a row of one {e column group} per (predicate symbol,
+    arity), a struct-of-arrays holding a flat column of interned value
     ids per argument position plus a row → fact-id map.  Rows are in
     insertion order (ascending fact id), and activation is a bitmap
     checked per candidate row — deactivated facts stay in the columns
-    forever, exactly like the posting lists.
+    forever.  Each group keeps one unique key over all its columns,
+    maintained by {!add}: an open-addressing table whose slots hold
+    rows.  The boxed tuples stay alongside for proofs and rendering,
+    which need the stored values that interning merges.
 
     The hash-join matcher builds {e multi-column hash indexes} over a
     group on demand: [ensure_index] indexes the key columns named by a
     bitmask, incrementally from a row watermark, so per-round index
     maintenance costs O(new rows).  [ensure_index] mutates the
     database, so a chase round calls it before a match, never during
-    one; {!probe} is a pure read and falls back to [None] whenever the
+    one; {!index_handle} is a pure read and answers [None] whenever the
     index is missing or stale, so correctness never depends on index
     preparation. *)
 
@@ -163,34 +171,26 @@ val ensure_index : t -> sym:int -> arity:int -> mask:int -> int
     the number of rows newly indexed (0 when the index was already
     fresh or the group does not exist).  Sequential-phase only. *)
 
-val probe : Cols.group -> mask:int -> hash:int -> Intvec.t option
-(** The candidate rows whose key columns hash to [hash] under the
-    [mask] index: [Some rows] (ascending, possibly empty) when the
-    index exists and covers every row, [None] when the caller must
-    scan.  The returned vector is shared index state — read-only.
-    Collisions are possible; callers re-check every column. *)
-
 type index_handle
-(** A resolved, fresh index over a column group — the per-probe mask
-    lookup and staleness check of {!probe}, paid once.  Valid only
+(** A resolved, fresh index over a column group — the mask lookup and
+    staleness check, paid once per match pass.  Valid only
     while no rows are appended to the group: resolve at the start of a
     pure-read match pass, drop before any insertion. *)
 
 val index_handle : Cols.group -> mask:int -> index_handle option
 (** [Some h] when the [mask] index exists and covers every row of the
-    group (same condition under which {!probe} returns [Some]),
-    [None] when the caller must scan. *)
+    group, [None] when the caller must scan. *)
 
 val probe_handle : index_handle -> hash:int -> Intvec.t
-(** The candidate rows bucketed at [hash] (ascending, possibly empty;
-    shared index state — read-only).  Equivalent to the [Some] arm of
-    {!probe} on the handle's group and mask. *)
+(** The candidate rows whose key columns hash to [hash] (ascending,
+    possibly empty; shared index state — read-only).  Collisions are
+    possible; callers re-check every column. *)
 
 val encode : Buffer.t -> t -> unit
 (** Snapshot codec hook: the full store — facts in id order, activation
     state, null counter, symbol table — in the engine's binary wire
     form.  {!decode} replays the insertion sequence, so the restored
-    database carries identical fact ids, symbols, indexes and
+    database carries identical fact ids, symbols, column groups and
     {!fingerprint}. *)
 
 val decode : Wire.reader -> t

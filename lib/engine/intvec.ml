@@ -23,37 +23,6 @@ let push t x =
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (Array.unsafe_get t.data i)
-  done;
-  !acc
-
-let exists p t =
-  let rec go i = i < t.len && (p (Array.unsafe_get t.data i) || go (i + 1)) in
-  go 0
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Array.unsafe_get t.data i :: acc) in
   go (t.len - 1) []
-
-let encode b t =
-  Wire.w_int b t.len;
-  for i = 0 to t.len - 1 do
-    Wire.w_int b (Array.unsafe_get t.data i)
-  done
-
-let decode r =
-  let len = Wire.r_int r in
-  if len < 0 then raise (Wire.Corrupt "Intvec: negative length");
-  let t = create ~capacity:(max 1 len) () in
-  for _ = 1 to len do
-    push t (Wire.r_int r)
-  done;
-  t

@@ -1,10 +1,10 @@
-(** Growable int arrays — the posting-list representation behind the
-    database indexes.  Append-only: the chase never removes a fact from
-    an index (deactivation is a side table), so postings only ever
-    [push].  Compared to the previous [int list ref] postings, an
-    [Intvec] keeps elements in insertion order without a reversal on
-    every read, answers {!length} in O(1) (the join planner's
-    cardinality probe), and stores ids unboxed in a flat [int array]. *)
+(** Growable int arrays — the columns and row maps of the database's
+    column groups and the buckets of its hash-join indexes.
+    Append-only: the chase never removes a fact from the store
+    (deactivation is a side table), so vectors only ever [push].  An
+    [Intvec] keeps elements in insertion order, answers {!length} in
+    O(1) (the join planner's cardinality probe), and stores ids unboxed
+    in a flat [int array]. *)
 
 type t
 
@@ -29,21 +29,5 @@ val unsafe_get : t -> int -> int
 val push : t -> int -> unit
 (** Append, amortized O(1). *)
 
-val iter : (int -> unit) -> t -> unit
-(** In insertion order. *)
-
-val fold_left : ('a -> int -> 'a) -> 'a -> t -> 'a
-
-val exists : (int -> bool) -> t -> bool
-(** Early-exits on the first hit, in insertion order. *)
-
 val to_list : t -> int list
 (** In insertion order. *)
-
-val encode : Buffer.t -> t -> unit
-(** Snapshot codec hook: varint length followed by the elements —
-    {!decode} restores an equal vector ({!Ekg_store} composes these
-    into session snapshot files). *)
-
-val decode : Wire.reader -> t
-(** Raises {!Wire.Truncated} / {!Wire.Corrupt} on malformed input. *)

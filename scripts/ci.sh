@@ -12,8 +12,10 @@
 # overhead, incremental maintenance vs cold re-chase, query lane vs
 # materialization, snapshot/restore vs cold chase; fails if
 # incremental, query-lane or restored state ever diverges), the
-# fingerprint gate (every bundled app's full chase output must digest
-# to its recorded value), and the documentation gate
+# benchmark self-test (perfbench at tiny size: builds the benchmark,
+# checks every metric is reported and every correctness check can
+# fail; ~90 s), the fingerprint gate (every bundled app's full chase
+# output must digest to its recorded value), and the documentation gate
 # (doc-comment lint always; `dune build @doc` + HTML artifact when
 # odoc is installed). Run from anywhere.
 set -euo pipefail
@@ -27,6 +29,7 @@ dune build @smoke-query
 dune build @smoke-recovery
 dune build @smoke-scale
 dune exec bench/main.exe -- chase-smoke
+python3 perfbench/selftest.py
 
 # fingerprint gate: each bundled app's full chase output (facts, ids,
 # provenance, chase graph) must digest to the recorded value; an engine
@@ -65,4 +68,4 @@ else
   echo "ci: odoc not installed; skipped @doc rendering (doc lint still enforced)"
 fi
 
-echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + fingerprints + docs)"
+echo "ci: all green (build + tests + smoke/metrics + fault drills + restart recovery + scale replay + chase bench + benchmark self-test + fingerprints + docs)"

@@ -1,12 +1,27 @@
 (* Reference nested-loop matcher: the textbook homomorphism enumeration
-   over [Database.matching] posting lists, kept only as the oracle the
-   hash-join engine ({!Ekg_engine.Matcher}) is tested against.  It
-   visits candidate facts in ascending id order at every join position,
-   so on the same plan it must produce the same match {e sequence} as
-   the engine, not merely the same set. *)
+   over boxed tuples, kept only as the oracle the hash-join engine
+   ({!Ekg_engine.Matcher}) is tested against.  It visits candidate facts
+   in ascending id order at every join position, so on the same plan it
+   must produce the same match {e sequence} as the engine, not merely
+   the same set.  Candidates are every fact of the predicate
+   ([Database.all_of_pred]) filtered by [Subst.match_atom] on the stored
+   values — never the interned ids, unique keys or column scans that
+   the engine and [Database.matching] use, so the oracle shares no
+   lookup code with the code under test. *)
 
 open Ekg_datalog
 open Ekg_engine
+
+(* active facts the pattern maps onto under an extension of [subst],
+   with the extended substitution, ascending id *)
+let matching db (pattern : Atom.t) subst =
+  let arity = List.length pattern.args in
+  List.filter_map
+    (fun (f : Fact.t) ->
+      if Database.is_active db f.id && Array.length f.args = arity then
+        Option.map (fun s -> (f, s)) (Subst.match_atom subst ~pattern f.args)
+      else None)
+    (Database.all_of_pred db pattern.pred)
 
 (* Enumerate joins of the positive atoms in plan order (textual order
    when no plan is given); fully-bound conditions are checked as soon
@@ -52,7 +67,7 @@ let raw_matches ?plan ?(position_ok = fun _ _ -> true) db (r : Rule.t) =
       else if
         List.exists
           (fun (a : Atom.t) ->
-            Database.exists_matching db (Subst.apply_atom subst a) subst)
+            matching db (Subst.apply_atom subst a) subst <> [])
           negatives
       then []
       else
@@ -69,7 +84,7 @@ let raw_matches ?plan ?(position_ok = fun _ _ -> true) db (r : Rule.t) =
           (fun ((f : Fact.t), subst') ->
             if position_ok pos f then join (pos + 1) subst' ((body_idx, f.id) :: used)
             else [])
-          (Database.matching db atom subst)
+          (matching db atom subst)
     end
   in
   join 0 Subst.empty []

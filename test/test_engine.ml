@@ -99,36 +99,30 @@ let test_database_index_probe () =
   ignore (Database.add db "e" [| Value.str "a"; Value.str "c" |]);
   let sym = Option.get (Database.pred_sym db "e") in
   let g = Option.get (Database.Cols.find db ~sym ~arity:2) in
-  check bool' "no index yet" true (Database.probe g ~mask:1 ~hash:0 = None);
+  check bool' "no index yet" true (Database.index_handle g ~mask:1 = None);
   check int' "index build covers all rows" 3
     (Database.ensure_index db ~sym ~arity:2 ~mask:1);
   check int' "rebuild is incremental (no new rows)" 0
     (Database.ensure_index db ~sym ~arity:2 ~mask:1);
   let hash_of v = Database.key_hash_add 0 (Database.value_id db v) in
-  let bucket v =
-    match Database.probe g ~mask:1 ~hash:(hash_of v) with
-    | Some b -> List.init (Intvec.length b) (Intvec.get b)
-    | None -> Alcotest.fail "fresh index did not answer"
+  let bucket ~mask hash =
+    match Database.index_handle g ~mask with
+    | Some h ->
+      let b = Database.probe_handle h ~hash in
+      List.init (Intvec.length b) (Intvec.get b)
+    | None -> Alcotest.fail "fresh index has no handle"
   in
   check bool' "a-bucket holds rows 0 and 2, ascending" true
-    (bucket (Value.str "a") = [ 0; 2 ]);
-  check bool' "b-bucket holds row 1" true (bucket (Value.str "b") = [ 1 ]);
-  (* handles: same answers, resolved once *)
-  (match Database.index_handle g ~mask:1 with
-  | None -> Alcotest.fail "fresh index has no handle"
-  | Some h ->
-    check int' "handle probe agrees" 2
-      (Intvec.length (Database.probe_handle h ~hash:(hash_of (Value.str "a")))));
-  (* staleness: a new row invalidates probes until re-ensured *)
+    (bucket ~mask:1 (hash_of (Value.str "a")) = [ 0; 2 ]);
+  check bool' "b-bucket holds row 1" true
+    (bucket ~mask:1 (hash_of (Value.str "b")) = [ 1 ]);
+  (* staleness: a new row invalidates the handle until re-ensured *)
   ignore (Database.add db "e" [| Value.str "c"; Value.str "d" |]);
-  check bool' "stale index refuses to answer" true
-    (Database.probe g ~mask:1 ~hash:(hash_of (Value.str "a")) = None);
   check bool' "stale index yields no handle" true
     (Database.index_handle g ~mask:1 = None);
   check int' "extension indexes only the new row" 1
     (Database.ensure_index db ~sym ~arity:2 ~mask:1);
-  check bool' "fresh again" true
-    (Database.probe g ~mask:1 ~hash:(hash_of (Value.str "a")) <> None);
+  check bool' "fresh again" true (Database.index_handle g ~mask:1 <> None);
   (* multi-column mask keys on both columns *)
   ignore (Database.ensure_index db ~sym ~arity:2 ~mask:3);
   let h2 =
@@ -136,9 +130,7 @@ let test_database_index_probe () =
       (Database.key_hash_add 0 (Database.value_id db (Value.str "a")))
       (Database.value_id db (Value.str "c"))
   in
-  (match Database.probe g ~mask:3 ~hash:h2 with
-  | Some b -> check int' "(a,c) bucket is row 2" 2 (Intvec.get b 0)
-  | None -> Alcotest.fail "two-column index did not answer")
+  check bool' "(a,c) bucket is row 2" true (bucket ~mask:3 h2 = [ 2 ])
 
 let test_database_all_active () =
   let db = Database.create () in
@@ -1233,11 +1225,7 @@ let test_intvec () =
   check int' "length after growth" 100 (Intvec.length v);
   check int' "get" 21 (Intvec.get v 7);
   check bool' "to_list is insertion order" true
-    (Intvec.to_list v = List.init 100 (fun i -> i * 3));
-  check bool' "exists finds" true (Intvec.exists (fun x -> x = 297) v);
-  check bool' "exists misses" false (Intvec.exists (fun x -> x = 298) v);
-  let folded = Intvec.fold_left (fun acc x -> acc + x) 0 v in
-  check int' "fold" (3 * (99 * 100 / 2)) folded
+    (Intvec.to_list v = List.init 100 (fun i -> i * 3))
 
 let test_symtab () =
   let t = Symtab.create () in
@@ -2045,9 +2033,226 @@ node(X), not linked(X) -> isolated(X).
         | Ok cold ->
           Database.fingerprint cold.Chase.db = Database.fingerprint !res.Chase.db)
 
+(* --- store vs list model ------------------------------------------------------ *)
+
+(* The store against a plain list model: facts in id order, each with
+   an activation flag, deduplicated on (predicate, arity, Value.equal
+   tuple) — so Int 1 and Num 1.0 are one tuple.  One predicate is used
+   at two arities and one is nullary; "q" is never inserted and "zz"
+   never stored. *)
+type model_fact = {
+  m_id : int;
+  m_pred : string;
+  m_args : Value.t array;
+  mutable m_active : bool;
+}
+
+type store_op =
+  | Op_add of string * Value.t array
+  | Op_deactivate of int
+  | Op_reactivate of int
+
+let store_values =
+  [| Value.int 1; Value.num 1.0; Value.int 2; Value.num 2.0; Value.num 2.5;
+     Value.str "a"; Value.str "b" |]
+
+let unknown_value = Value.str "zz"
+
+let store_value_gen =
+  QCheck2.Gen.map
+    (fun i -> store_values.(i))
+    (QCheck2.Gen.int_bound (Array.length store_values - 1))
+
+let store_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun v -> Op_add ("p", [| v |])) store_value_gen);
+        (4, map2 (fun a b -> Op_add ("p", [| a; b |])) store_value_gen store_value_gen);
+        (1, pure (Op_add ("z", [||])));
+        (1, map (fun i -> Op_deactivate i) (int_bound 30));
+        (1, map (fun i -> Op_reactivate i) (int_bound 30));
+      ])
+
+(* a pattern over p/1, p/2, z/0 or q/1 with constants (some never
+   stored), free and repeated variables, under a substitution that may
+   bind X — to an unknown value too *)
+let store_pattern_gen =
+  QCheck2.Gen.(
+    let term =
+      frequency
+        [
+          (3, map Term.cst store_value_gen);
+          (1, pure (Term.cst unknown_value));
+          (2, pure (Term.var "X"));
+          (2, pure (Term.var "Y"));
+        ]
+    in
+    let pattern =
+      oneof
+        [
+          map (fun t -> Atom.make "p" [ t ]) term;
+          map2 (fun a b -> Atom.make "p" [ a; b ]) term term;
+          pure (Atom.make "z" []);
+          map (fun t -> Atom.make "q" [ t ]) term;
+        ]
+    in
+    let subst =
+      frequency
+        [
+          (2, pure Subst.empty);
+          (2, map (Subst.bind Subst.empty "X") store_value_gen);
+          (1, pure (Subst.bind Subst.empty "X" unknown_value));
+        ]
+    in
+    pair pattern subst)
+
+let print_store_case (ops, patterns) =
+  let fact pred args = Fact.to_string { Fact.id = 0; pred; args } in
+  let op = function
+    | Op_add (pred, args) -> "add " ^ fact pred args
+    | Op_deactivate i -> Printf.sprintf "deactivate %d" i
+    | Op_reactivate i -> Printf.sprintf "reactivate %d" i
+  in
+  let pattern (a, s) =
+    Atom.to_string a ^ " under "
+    ^ String.concat ","
+        (List.map (fun (v, x) -> v ^ "=" ^ Value.to_string x) (Subst.to_list s))
+  in
+  String.concat "; " (List.map op ops) ^ "\npatterns: "
+  ^ String.concat "; " (List.map pattern patterns)
+
+(* every tuple find_exact is asked about: each predicate at each arity
+   over every value, the unknown one included *)
+let store_probe_tuples =
+  let vals = Array.to_list store_values @ [ unknown_value ] in
+  (("z", [||]) :: List.map (fun v -> ("p", [| v |])) vals)
+  @ List.map (fun v -> ("q", [| v |])) vals
+  @ List.concat_map (fun a -> List.map (fun b -> ("p", [| a; b |])) vals) vals
+
+let prop_store_equals_model =
+  QCheck2.Test.make ~name:"store equals a list model" ~count:200
+    ~print:print_store_case
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 30) store_op_gen)
+        (list_size (int_range 1 8) store_pattern_gen))
+    (fun (ops, patterns) ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let db = Database.create () in
+      let model = ref [] in (* newest first *)
+      let facts () = List.rev !model in
+      let model_find pred args =
+        List.find_opt
+          (fun m ->
+            m.m_pred = pred
+            && Array.length m.m_args = Array.length args
+            && Array.for_all2 Value.equal m.m_args args)
+          !model
+      in
+      let ids keep pred =
+        List.filter_map
+          (fun m -> if m.m_pred = pred && keep m then Some m.m_id else None)
+          (facts ())
+      in
+      let fact_ids = List.map (fun (f : Fact.t) -> f.id) in
+      let agrees db =
+        List.iter
+          (fun (pred, args) ->
+            let got = Option.map (fun (f : Fact.t) -> f.id) (Database.find_exact db pred args) in
+            if got <> Option.map (fun m -> m.m_id) (model_find pred args) then
+              fail "find_exact %s" (Fact.to_string { Fact.id = 0; pred; args }))
+          store_probe_tuples;
+        List.iter
+          (fun ((pattern : Atom.t), subst) ->
+            let want =
+              List.filter_map
+                (fun m ->
+                  if
+                    m.m_active && m.m_pred = pattern.pred
+                    && Array.length m.m_args = List.length pattern.args
+                  then
+                    Option.map
+                      (fun s -> (m.m_id, Subst.to_list s))
+                      (Subst.match_atom subst ~pattern m.m_args)
+                  else None)
+                (facts ())
+            in
+            let got =
+              List.map
+                (fun ((f : Fact.t), s) -> (f.id, Subst.to_list s))
+                (Database.matching db pattern subst)
+            in
+            if got <> want then fail "matching %s" (Atom.to_string pattern);
+            if Database.exists_matching db pattern subst <> (want <> []) then
+              fail "exists_matching %s" (Atom.to_string pattern))
+          patterns;
+        List.iter
+          (fun pred ->
+            if fact_ids (Database.active db pred) <> ids (fun m -> m.m_active) pred
+            then fail "active %s" pred;
+            if fact_ids (Database.all_of_pred db pred) <> ids (fun _ -> true) pred
+            then fail "all_of_pred %s" pred;
+            if Database.pred_card db pred <> List.length (ids (fun _ -> true) pred)
+            then fail "pred_card %s" pred)
+          [ "p"; "z"; "q" ];
+        if Database.size db <> List.length !model then fail "size";
+        if
+          Database.active_size db
+          <> List.length (List.filter (fun m -> m.m_active) !model)
+        then fail "active_size"
+      in
+      let set_active i flag =
+        List.iter (fun m -> if m.m_id = i then m.m_active <- flag) !model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Op_add (pred, args) -> (
+            match (Database.add db pred args, model_find pred args) with
+            | `Existing f, Some m when f.id = m.m_id -> ()
+            | `Added f, None when f.id = List.length !model ->
+              model := { m_id = f.id; m_pred = pred; m_args = args; m_active = true } :: !model
+            | (`Existing _ | `Added _), _ ->
+              fail "add %s" (Fact.to_string { Fact.id = 0; pred; args }))
+          | Op_deactivate i ->
+            Database.deactivate db i;
+            set_active i false
+          | Op_reactivate i ->
+            Database.reactivate db i;
+            set_active i true);
+          agrees db)
+        ops;
+      (* a copy mutated afterwards leaves the original untouched *)
+      let fp = Database.fingerprint db in
+      let c = Database.copy db in
+      ignore (Database.add c "p" [| Value.str "copy-only" |]);
+      ignore (Database.add c "z" [||]);
+      for id = 0 to Database.size c - 1 do
+        Database.deactivate c id
+      done;
+      if Database.fingerprint db <> fp then fail "copy leaked into the original";
+      agrees db;
+      (* the snapshot codec replays the same ids, activation and answers *)
+      let b = Buffer.create 256 in
+      Database.encode b db;
+      let d = Database.decode (Wire.reader (Buffer.contents b)) in
+      List.iter
+        (fun m ->
+          let f = Database.fact d m.m_id in
+          if
+            f.pred <> m.m_pred
+            || Fact.to_string f <> Fact.to_string { Fact.id = m.m_id; pred = m.m_pred; args = m.m_args }
+            || Database.is_active d m.m_id <> m.m_active
+          then fail "decode changed fact %d" m.m_id)
+        !model;
+      if Database.fingerprint d <> fp then fail "decode changed the fingerprint";
+      agrees d;
+      true)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_store_equals_model;
       prop_closure_matches_reference;
       prop_chase_deterministic;
       prop_magic_equals_full_chase;

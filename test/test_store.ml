@@ -127,6 +127,34 @@ let test_codec_roundtrip_bundled () =
           (String.equal bytes (Codec.encode snap')))
     bundled_apps
 
+(* The fact-store wire format is pinned: each bundled app's materialized
+   store encodes to the digest recorded when the format was last
+   changed, so snapshots written by earlier releases keep restoring.  A
+   change of storage layout must not move a byte here. *)
+let test_database_wire_pinned () =
+  let recorded =
+    [
+      ("company-control", "21f74508bb9375aafbafa5661af9046d");
+      ("stress-test", "fec811ed629cf25ac7c9e24e17245452");
+      ("close-link", "cf543cd69ae4e912cd7c18f1afa1d2a2");
+      ("golden-power", "a1955276207e38dd99163facce1f67b1");
+    ]
+  in
+  check bool' "every bundled app is pinned" true
+    (List.sort compare bundled_apps = List.sort compare (List.map fst recorded));
+  List.iter
+    (fun (app, digest) ->
+      let mat = mat_exn (snapshot_of_app app) in
+      let b = Buffer.create 4096 in
+      Database.encode b mat.Chase.db;
+      let bytes = Buffer.contents b in
+      check string' (app ^ " store digest") digest
+        (Digest.to_hex (Digest.string bytes));
+      let db = Database.decode (Wire.reader bytes) in
+      check string' (app ^ " restored fingerprint") (db_fp mat)
+        (Database.fingerprint db))
+    recorded
+
 let test_codec_dormant_roundtrip () =
   let snap = { (snapshot_of_app "company-control") with Codec.mat = None } in
   match Codec.decode (Codec.encode snap) with
@@ -447,6 +475,8 @@ let () =
         [
           Alcotest.test_case "bundled apps round-trip" `Quick
             test_codec_roundtrip_bundled;
+          Alcotest.test_case "store wire format pinned" `Quick
+            test_database_wire_pinned;
           Alcotest.test_case "dormant round-trip" `Quick test_codec_dormant_roundtrip;
           Alcotest.test_case "meta-only read" `Quick test_codec_decode_meta;
           Alcotest.test_case "bad magic" `Quick test_codec_bad_magic;
