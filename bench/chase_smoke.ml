@@ -450,7 +450,10 @@ let persistence_bench dir =
    the query binds one chain's head — goal-direction should explore
    that chain and skip the rest, while full materialization derives
    every chain's closure.  Identity gate: the lane's answers must be
-   exactly what [Query.ask] returns over the full materialization. *)
+   exactly what [Query.ask] returns over the full materialization.
+   Queries run as the server runs them: over one frozen base
+   ([Pipeline.edb_base], built once and timed separately), each in a
+   private overlay. *)
 
 type qlane_out = {
   ql_app : string;
@@ -463,11 +466,18 @@ type qlane_out = {
   ql_answers : int;
   ql_iters : int;
   ql_rewrite_ms : float;
+  ql_base_ms : float;
   ql_p50_query_ms : float;
   ql_p50_full_ms : float;
   ql_speedup : float;
   ql_identity : bool;
 }
+
+let edb_base edb =
+  match Ekg_core.Pipeline.edb_base edb with
+  | Ok b -> b
+  | Error e ->
+    failwith ("chase-smoke: query-lane base: " ^ Ekg_engine.Chase.error_to_string e)
 
 let query_lane_bench () =
   let rng = Ekg_kernel.Prng.create 9090 in
@@ -494,8 +504,11 @@ let query_lane_bench () =
         | Error e -> failwith ("chase-smoke: query-lane specialize: " ^ e)
       in
       let rewrite_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      let t0 = Unix.gettimeofday () in
+      let base = edb_base edb in
+      let base_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       let run_query () =
-        match Ekg_core.Pipeline.query pipeline spec edb atom with
+        match Ekg_core.Pipeline.query_base pipeline spec base atom with
         | Ok r -> r
         | Error e ->
           failwith
@@ -541,6 +554,7 @@ let query_lane_bench () =
         ql_answers = List.length qr.Ekg_core.Pipeline.q_answers;
         ql_iters = iters_q;
         ql_rewrite_ms = rewrite_ms;
+        ql_base_ms = base_ms;
         ql_p50_query_ms = p50_q;
         ql_p50_full_ms = p50_f;
         ql_speedup = (if p50_q > 0. then p50_f /. p50_q else 0.);
@@ -554,6 +568,111 @@ let query_lane_bench () =
         link_edb,
         Atom.make "closeLink" [ Term.str link_head; Term.var "X" ] );
     ]
+
+(* The lane's cost must follow the answer, not the EDB: the same
+   company-control point queries ([control("cK", X)], K sampled over
+   every entity) over the generated KG at two sizes ~10x apart.  Each
+   point builds its base once, runs every sampled query once as the
+   identity gate against the full materialization (which also builds
+   the shared indexes, as a generation's first queries do on the
+   server), then times a second pass: the uncached p50.  A few queries
+   also run through the atom-list [Pipeline.query], which rebuilds the
+   base per call — the cost the shared base removes. *)
+
+type kg_point = {
+  kp_entities : int;
+  kp_edb_facts : int;
+  kp_base_ms : float;
+  kp_queries : int;
+  kp_answers : int;      (* summed over the sampled queries *)
+  kp_p50_ms : float;     (* shared base, uncached *)
+  kp_p50_rebuild_ms : float;  (* atom-list form: base rebuilt per query *)
+  kp_identity : bool;
+}
+
+let kg_points () =
+  let { Ekg_apps.Apps_util.pipeline; edb = _ } =
+    match Ekg_apps.Bundled.load "company-control" with
+    | Ok l -> l
+    | Error e -> failwith ("chase-smoke: company-control: " ^ e)
+  in
+  let spec =
+    match Ekg_core.Pipeline.specialize pipeline ~pred:"control" ~mask:"bf" with
+    | Ok s -> s
+    | Error e -> failwith ("chase-smoke: query-lane specialize: " ^ e)
+  in
+  List.map
+    (fun entities ->
+      let kg, edb = Kg.atoms (Kg.default ~entities) in
+      let base, base_ms =
+        let t0 = Unix.gettimeofday () in
+        let b = edb_base edb in
+        (b, (Unix.gettimeofday () -. t0) *. 1000.)
+      in
+      let rng = Ekg_kernel.Prng.create 4711 in
+      let queries =
+        List.init 40 (fun _ ->
+            Atom.make "control"
+              [
+                Term.str
+                  (Printf.sprintf "c%d"
+                     (Ekg_kernel.Prng.int rng kg.Kg.total_entities));
+                Term.var "X";
+              ])
+      in
+      let answers_of (qr : Ekg_core.Pipeline.query_result) =
+        List.map
+          (fun a -> Ekg_engine.Fact.to_string a.Ekg_core.Pipeline.qa_fact)
+          qr.Ekg_core.Pipeline.q_answers
+      in
+      let ask atom =
+        match Ekg_core.Pipeline.query_base pipeline spec base atom with
+        | Ok r -> r
+        | Error e ->
+          failwith
+            ("chase-smoke: query-lane: " ^ Ekg_engine.Chase.error_to_string e)
+      in
+      let full = Ekg_engine.Chase.run_exn pipeline.Ekg_core.Pipeline.program edb in
+      let answers = ref 0 in
+      let identity =
+        List.for_all
+          (fun atom ->
+            let lane = answers_of (ask atom) in
+            answers := !answers + List.length lane;
+            lane
+            = List.sort String.compare
+                (List.map
+                   (fun (f, _) -> Ekg_engine.Fact.to_string f)
+                   (Ekg_engine.Query.ask full.Ekg_engine.Chase.db atom)))
+          queries
+      in
+      let p50 atoms run =
+        let lat =
+          List.map
+            (fun atom ->
+              let t0 = Unix.gettimeofday () in
+              ignore (run atom);
+              (Unix.gettimeofday () -. t0) *. 1000.)
+            atoms
+        in
+        percentile (Array.of_list (List.sort compare lat)) 0.50
+      in
+      let p50_ms = p50 queries ask in
+      let p50_rebuild_ms =
+        p50 (List.filteri (fun i _ -> i < 7) queries) (fun atom ->
+            Ekg_core.Pipeline.query pipeline spec edb atom)
+      in
+      {
+        kp_entities = entities;
+        kp_edb_facts = List.length edb;
+        kp_base_ms = base_ms;
+        kp_queries = List.length queries;
+        kp_answers = !answers;
+        kp_p50_ms = p50_ms;
+        kp_p50_rebuild_ms = p50_rebuild_ms;
+        kp_identity = identity;
+      })
+    [ 2_000; 20_000 ]
 
 (* --- hash-index microbenchmark --------------------------------------------
 
@@ -603,7 +722,7 @@ let join_micro () =
   assert (!hits > 0);
   { jm_rows = rows; jm_build_ms = build_ms; jm_probes = probes; jm_probe_ns = probe_ns }
 
-let json_out ~overhead ~obs ~incr ~persist ~micro ~qlane =
+let json_out ~overhead ~obs ~incr ~persist ~micro ~qlane ~kg =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -656,7 +775,8 @@ let json_out ~overhead ~obs ~incr ~persist ~micro ~qlane =
   Buffer.add_string buf "  \"query_lane\": {\n";
   Buffer.add_string buf
     (Printf.sprintf "    \"identity\": %b,\n"
-       (List.for_all (fun q -> q.ql_identity) qlane));
+       (List.for_all (fun q -> q.ql_identity) qlane
+       && List.for_all (fun p -> p.kp_identity) kg));
   Buffer.add_string buf
     (Printf.sprintf "    \"p50_speedup_at_least_5x_on_2_apps\": %b,\n"
        (List.length (List.filter (fun q -> q.ql_speedup >= 5.) qlane) >= 2));
@@ -668,15 +788,40 @@ let json_out ~overhead ~obs ~incr ~persist ~micro ~qlane =
            "      {\"app\": %S, \"query\": %S, \"mask\": %S, \"mode\": %S, \
             \"edb_facts\": %d, \"full_derived_facts\": %d, \
             \"scoped_derived_facts\": %d, \"answers\": %d, \
-            \"iterations\": %d, \"rewrite_ms\": %.3f, \
+            \"iterations\": %d, \"rewrite_ms\": %.3f, \"base_ms\": %.3f, \
             \"p50_query_ms\": %.3f, \"p50_full_chase_ms\": %.3f, \
             \"p50_speedup\": %.1f, \"answers_identical_to_materialization\": %b}%s\n"
            q.ql_app q.ql_query q.ql_mask q.ql_mode q.ql_edb_facts
            q.ql_full_facts q.ql_scoped_facts q.ql_answers q.ql_iters
-           q.ql_rewrite_ms q.ql_p50_query_ms q.ql_p50_full_ms q.ql_speedup
+           q.ql_rewrite_ms q.ql_base_ms q.ql_p50_query_ms q.ql_p50_full_ms q.ql_speedup
            q.ql_identity
            (if i = List.length qlane - 1 then "" else ",")))
     qlane;
+  Buffer.add_string buf "    ],\n";
+  let ratio =
+    match kg with
+    | [ small; large ] when small.kp_p50_ms > 0. -> large.kp_p50_ms /. small.kp_p50_ms
+    | _ -> 0.
+  in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "    \"kg_p50_ratio_large_vs_small\": %.2f,\n\
+       \    \"kg_p50_within_2x_across_sizes\": %b,\n"
+       ratio (ratio > 0. && ratio <= 2.));
+  Buffer.add_string buf "    \"kg_points\": [\n";
+  List.iteri
+    (fun i p ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "      {\"app\": \"company-control\", \"query\": \"control(\\\"cK\\\", X)\", \
+            \"entities\": %d, \"edb_facts\": %d, \"base_ms\": %.3f, \
+            \"queries\": %d, \"answers\": %d, \"p50_query_ms\": %.3f, \
+            \"p50_query_ms_rebuilding_base\": %.3f, \
+            \"answers_identical_to_materialization\": %b}%s\n"
+           p.kp_entities p.kp_edb_facts p.kp_base_ms p.kp_queries p.kp_answers
+           p.kp_p50_ms p.kp_p50_rebuild_ms p.kp_identity
+           (if i = List.length kg - 1 then "" else ",")))
+    kg;
   Buffer.add_string buf "    ]\n  },\n";
   Buffer.add_string buf "  \"persistence\": {\n";
   Buffer.add_string buf
@@ -763,6 +908,20 @@ let run () =
       qs;
     qs
   in
+  let kg =
+    let ps = kg_points () in
+    List.iter
+      (fun p ->
+        Printf.printf
+          "  %-20s %6d facts   base %8.3f ms   query p50 %7.3f ms \
+           (rebuilding base %8.3f ms)   %s\n"
+          "query-kg" p.kp_edb_facts p.kp_base_ms p.kp_p50_ms
+          p.kp_p50_rebuild_ms
+          (if p.kp_identity then "answers match materialization"
+           else "ANSWERS DIVERGED"))
+      ps;
+    ps
+  in
   let persist =
     let dir =
       Filename.concat (Filename.get_temp_dir_name ())
@@ -782,11 +941,15 @@ let run () =
   in
   let path = "BENCH_chase.json" in
   Bench_util.write_file_atomic path
-    (json_out ~overhead ~obs ~incr ~persist ~micro ~qlane);
+    (json_out ~overhead ~obs ~incr ~persist ~micro ~qlane ~kg);
   Printf.printf "  wrote %s\n" path;
   if not incr.i_identical then
     failwith "chase-smoke: incremental maintenance diverged from cold chase";
   if not (List.for_all (fun p -> p.p_identical) persist) then
     failwith "chase-smoke: warm restore diverged from the persisted instance";
-  if not (List.for_all (fun q -> q.ql_identity) qlane) then
+  if
+    not
+      (List.for_all (fun q -> q.ql_identity) qlane
+      && List.for_all (fun p -> p.kp_identity) kg)
+  then
     failwith "chase-smoke: query-lane answers diverged from materialization"

@@ -201,51 +201,24 @@ let sort_answers answers =
     (fun a b -> String.compare (Fact.to_string a.qa_fact) (Fact.to_string b.qa_fact))
     answers
 
-let edb_scan edb (atom : Atom.t) =
-  let answers =
-    List.filteri (fun _ (a : Atom.t) -> a.Atom.pred = atom.Atom.pred) edb
-    |> List.mapi (fun i (a : Atom.t) ->
-           let args =
-             Array.of_list
-               (List.map
-                  (function
-                    | Term.Cst v -> v
-                    | Term.Var v ->
-                      (* the EDB mirror holds ground atoms only *)
-                      invalid_arg ("non-ground extensional atom: " ^ v))
-                  a.Atom.args)
-           in
-           (i, args))
-    |> List.filter_map (fun (i, args) ->
-           match Subst.match_atom Subst.empty ~pattern:atom args with
-           | None -> None
-           | Some binding ->
-             let fact = { Fact.id = i; pred = atom.Atom.pred; args } in
-             Some { qa_fact = fact; qa_internal = fact; qa_binding = binding })
-  in
-  {
-    q_answers = sort_answers answers;
-    q_mode = `Edb;
-    q_fallback = None;
-    q_scoped = None;
-    q_sp = None;
-    q_rounds = 0;
-    q_derived = 0;
-  }
+let answers_of facts ~project =
+  sort_answers
+    (List.map
+       (fun (f, binding) ->
+         { qa_fact = project f; qa_internal = f; qa_binding = binding })
+       facts)
 
-let query ?stats ?budget ?obs ?parent t spec edb (atom : Atom.t) =
+let query_base ?stats ?budget ?obs ?parent t spec base (atom : Atom.t) =
+  let chase program db =
+    Chase.run_store ?stats ?budget ?obs ?parent program db
+  in
   let scoped_full reason =
-    match Chase.run_checked ?stats ?budget ?obs ?parent t.program edb with
+    match chase t.program (Database.overlay base) with
     | Error _ as e -> e
     | Ok res ->
-      let answers =
-        Query.ask res.db atom
-        |> List.map (fun (f, binding) ->
-               { qa_fact = f; qa_internal = f; qa_binding = binding })
-      in
       Ok
         {
-          q_answers = sort_answers answers;
+          q_answers = answers_of (Query.ask res.db atom) ~project:Fun.id;
           q_mode = `Full;
           q_fallback = Some reason;
           q_scoped = Some res;
@@ -255,30 +228,35 @@ let query ?stats ?budget ?obs ?parent t spec edb (atom : Atom.t) =
         }
   in
   match spec with
-  | Sp_edb -> Ok (edb_scan edb atom)
+  | Sp_edb ->
+    Ok
+      {
+        q_answers = answers_of (Query.ask base atom) ~project:Fun.id;
+        q_mode = `Edb;
+        q_fallback = None;
+        q_scoped = None;
+        q_sp = None;
+        q_rounds = 0;
+        q_derived = 0;
+      }
   | Sp_full reason -> scoped_full reason
   | Sp_magic sp -> (
     match
-      Chase.run_checked ?stats ?budget ?obs ?parent sp.Magic.sp_program
-        (edb @ Magic.seeds sp atom)
+      Result.bind
+        (Chase.load ~into:(Database.overlay base) (Magic.seeds sp atom))
+        (chase sp.Magic.sp_program)
     with
     | Error (Chase.Unstratifiable _) ->
       (* the rewrite broke the stratification the source program had *)
       scoped_full "rewritten program does not stratify"
     | Error _ as e -> e
     | Ok res ->
-      let answers =
-        Query.ask res.db (Magic.goal_atom sp atom)
-        |> List.map (fun (f, binding) ->
-               {
-                 qa_fact = Magic.original_fact sp f;
-                 qa_internal = f;
-                 qa_binding = binding;
-               })
-      in
       Ok
         {
-          q_answers = sort_answers answers;
+          q_answers =
+            answers_of
+              (Query.ask res.db (Magic.goal_atom sp atom))
+              ~project:(Magic.original_fact sp);
           q_mode = `Magic;
           q_fallback = None;
           q_scoped = Some res;
@@ -286,6 +264,17 @@ let query ?stats ?budget ?obs ?parent t spec edb (atom : Atom.t) =
           q_rounds = res.Chase.rounds;
           q_derived = res.Chase.derived_count;
         })
+
+let edb_base edb =
+  Result.map
+    (fun base ->
+      Database.freeze base;
+      base)
+    (Chase.load edb)
+
+let query ?stats ?budget ?obs ?parent t spec edb atom =
+  Result.bind (edb_base edb) (fun base ->
+      query_base ?stats ?budget ?obs ?parent t spec base atom)
 
 let explain_answer ?(strategy = `Primary) ?(degraded = false) ?obs ?parent t
     (qr : query_result) (qa : query_answer) =

@@ -149,7 +149,17 @@ val explain_query :
     materialization: the program is magic-sets-specialized for the
     query's bound/free pattern ({!Magic.specialize}), the scoped chase
     runs over the extensional facts plus the demand seeds, and answers
-    plus proofs are projected back onto the source vocabulary. *)
+    plus proofs are projected back onto the source vocabulary.
+
+    The extensional facts live in a {e base}: a frozen
+    {!Database.t} built once ({!edb_base}) and shared by every query
+    over the same fact base.  Each query chases a private
+    {!Database.overlay} of it, holding only the demand seeds and the
+    facts the query derives, so an uncached query costs what its
+    answer needs rather than a re-insertion of the whole EDB.  The hash
+    indexes a query builds on base groups are built once and shared by
+    every later and concurrent query.  A serving layer keeps one base
+    per fact-base version and drops it when the facts change. *)
 
 type specialization =
   | Sp_magic of Magic.specialized
@@ -157,7 +167,7 @@ type specialization =
   | Sp_full of string
       (** the program shape escapes the magic fragment (reason given):
           the query is answered from a private full chase *)
-  | Sp_edb  (** extensional predicate: a simple scan over the EDB *)
+  | Sp_edb  (** extensional predicate: a lookup in the base *)
 
 val specialize : t -> pred:string -> mask:string -> (specialization, string) result
 (** Plan how queries of the given shape will be answered.  Depends only
@@ -181,6 +191,33 @@ type query_result = {
   q_derived : int;
 }
 
+val edb_base : Atom.t list -> (Database.t, Chase.error) result
+(** Load the extensional facts into a fresh store and freeze it — the
+    base {!query_base} reads.  Fails with {!Chase.Invalid_edb} on a
+    non-ground atom.  O(facts); build it once per fact-base version. *)
+
+val query_base :
+  ?stats:Ekg_obs.Metrics.t ->
+  ?budget:Chase.budget ->
+  ?obs:Ekg_obs.Trace.t ->
+  ?parent:Ekg_obs.Trace.span ->
+  t ->
+  specialization ->
+  Database.t ->
+  Atom.t ->
+  (query_result, Chase.error) result
+(** Answer one concrete query atom over a frozen base, per the
+    pre-computed [specialization].  Never touches a served
+    materialization, and never writes the base: the magic and full
+    modes each chase a private overlay of it (budget/deadline arguments
+    pass straight through), and the EDB mode matches the base
+    directly, answering with the base's fact ids.  A rewritten program
+    that fails to stratify falls back to the full mode transparently,
+    recorded in [q_fallback].  Safe to call from several domains over
+    one base at once.  Fact ids, and with them proofs and
+    explanations, are exactly those of a chase over the base's facts
+    loaded into a fresh store. *)
+
 val query :
   ?stats:Ekg_obs.Metrics.t ->
   ?budget:Chase.budget ->
@@ -191,13 +228,10 @@ val query :
   Atom.t list ->
   Atom.t ->
   (query_result, Chase.error) result
-(** Answer one concrete query atom over the given extensional facts,
-    per the pre-computed [specialization].  Never touches a served
-    materialization: the magic and full modes each run a private chase
-    (budget/deadline arguments pass straight through),
-    and the EDB mode only scans.  A rewritten program that fails to
-    stratify falls back to the full mode transparently, recorded in
-    [q_fallback]. *)
+(** [query t spec edb atom] is {!query_base} over [edb_base edb]: a
+    one-shot form for callers holding an atom list.  It pays the
+    O(|EDB|) base build on every call; serving layers keep the base
+    instead. *)
 
 val explain_answer :
   ?strategy:[ `Primary | `Shortest ] ->

@@ -353,8 +353,8 @@ let push_stats sink ~rounds ~derived (s : stats) =
       inserting in turn, so it sees the round's earlier insertions.
       All fact ids, nulls and provenance records are allocated here, in
       this fixed order. *)
-let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited)
-    ?stats ?obs ?parent (program : Program.t) edb =
+let run_store ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited)
+    ?stats ?obs ?parent (program : Program.t) db =
   match Program.validate program with
   | Error es -> Error (Invalid_program es)
   | Ok () -> (
@@ -379,355 +379,360 @@ let run_checked ?(naive = false) ?(max_rounds = 100_000) ?(budget = unlimited)
       in
       let st =
         {
-          db = Database.create ();
+          db;
           prov = Provenance.create ();
           agg_current = Hashtbl.create 64;
           derived = 0;
           superseded = 0;
         }
       in
-      let edb_error = ref None in
-      List.iter
-        (fun a ->
-          match Database.add_atom st.db a with
-          | Ok _ -> ()
-          | Error e -> if !edb_error = None then edb_error := Some e)
-        edb;
-      match !edb_error with
-      | Some e -> Error (Invalid_edb e)
-      | None -> (
-        let total_rounds = ref 0 in
-        let overflow = ref false in
-        let plan_reorders = ref 0 in
-        let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
-        (* Budget machinery.  [stop] is the one flag both the round
-           loop and the in-match interrupt hook observe: the first
-           check that trips it wins.  When no budget is set, the
-           per-round check is four [None] matches and the matcher hook
-           is absent, so the unlimited run does no budget work. *)
-        let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option ref =
-          ref None
-        in
-        let trip r =
-          if !stop = None then stop := Some r;
-          true
-        in
-        let poll_cancel () =
-          match budget.cancel with Some f -> f () | None -> false
-        in
-        let past_deadline () =
-          match budget.deadline_s with
-          | Some d -> Ekg_obs.Clock.now_s () > d
+      let total_rounds = ref 0 in
+      let overflow = ref false in
+      let plan_reorders = ref 0 in
+      let stratum_rounds = Array.make (max 1 (List.length strata)) 0 in
+      (* Budget machinery.  [stop] is the one flag both the round
+         loop and the in-match interrupt hook observe: the first
+         check that trips it wins.  When no budget is set, the
+         per-round check is four [None] matches and the matcher hook
+         is absent, so the unlimited run does no budget work. *)
+      let stop : [ `Cancelled | `Deadline | `Facts | `Rounds ] option ref =
+        ref None
+      in
+      let trip r =
+        if !stop = None then stop := Some r;
+        true
+      in
+      let poll_cancel () =
+        match budget.cancel with Some f -> f () | None -> false
+      in
+      let past_deadline () =
+        match budget.deadline_s with
+        | Some d -> Ekg_obs.Clock.now_s () > d
+        | None -> false
+      in
+      let check_budget () =
+        !stop <> None
+        ||
+        if poll_cancel () then trip `Cancelled
+        else if past_deadline () then trip `Deadline
+        else if
+          match budget.budget_facts with
+          | Some m -> st.derived >= m
           | None -> false
+        then trip `Facts
+        else if
+          match budget.budget_rounds with
+          | Some m -> !total_rounds >= m
+          | None -> false
+        then trip `Rounds
+        else false
+      in
+      (* Polled once per join node; the clock and cancel hook are
+         only consulted every 4096 nodes. *)
+      let interrupt =
+        if budget.deadline_s = None && Option.is_none budget.cancel then None
+        else begin
+          let tick = ref 0 in
+          Some
+            (fun () ->
+              !stop <> None
+              || begin
+                   incr tick;
+                   !tick land 4095 = 0
+                   &&
+                   if poll_cancel () then trip `Cancelled
+                   else if past_deadline () then trip `Deadline
+                   else false
+                 end)
+        end
+      in
+      let accs = ref [] in       (* rule_acc, reverse creation order *)
+      let round_log = ref [] in  (* round_stat, reverse execution order *)
+      let join_builds = ref 0 in
+      let join_probe_hits = ref 0 in
+      let run_stratum si rules =
+        let plain = List.filter (fun r -> not (Rule.has_agg r)) rules in
+        let agg = List.filter Rule.has_agg rules in
+        let with_acc rs =
+          List.map
+            (fun (r : Rule.t) ->
+              if not collect then (r, None)
+              else begin
+                let a =
+                  {
+                    acc_rule = r.id;
+                    acc_stratum = si;
+                    acc_time = 0.;
+                    acc_evals = 0;
+                    acc_facts = 0;
+                    acc_build = 0.;
+                    acc_probe = 0.;
+                    acc_insert = 0.;
+                  }
+                in
+                accs := a :: !accs;
+                (r, Some a)
+              end)
+            rs
         in
-        let check_budget () =
-          !stop <> None
-          ||
-          if poll_cancel () then trip `Cancelled
-          else if past_deadline () then trip `Deadline
-          else if
-            match budget.budget_facts with
-            | Some m -> st.derived >= m
-            | None -> false
-          then trip `Facts
-          else if
-            match budget.budget_rounds with
-            | Some m -> !total_rounds >= m
-            | None -> false
-          then trip `Rounds
-          else false
-        in
-        (* Polled once per join node; the clock and cancel hook are
-           only consulted every 4096 nodes. *)
-        let interrupt =
-          if budget.deadline_s = None && Option.is_none budget.cancel then None
-          else begin
-            let tick = ref 0 in
-            Some
-              (fun () ->
-                !stop <> None
-                || begin
-                     incr tick;
-                     !tick land 4095 = 0
-                     &&
-                     if poll_cancel () then trip `Cancelled
-                     else if past_deadline () then trip `Deadline
-                     else false
-                   end)
+        let plain = with_acc plain in
+        let agg = with_acc agg in
+        let now () = if collect then Ekg_obs.Clock.now_s () else 0. in
+        (* [time_s] is match plus insert time; [evals] counts insert
+           phases, one per round *)
+        let charge_build acc t0 n =
+          if collect then begin
+            join_builds := !join_builds + n;
+            match acc with
+            | Some a ->
+              a.acc_build <- a.acc_build +. (Ekg_obs.Clock.now_s () -. t0)
+            | None -> ()
           end
         in
-        let accs = ref [] in       (* rule_acc, reverse creation order *)
-        let round_log = ref [] in  (* round_stat, reverse execution order *)
-        let join_builds = ref 0 in
-        let join_probe_hits = ref 0 in
-        let run_stratum si rules =
-          let plain = List.filter (fun r -> not (Rule.has_agg r)) rules in
-          let agg = List.filter Rule.has_agg rules in
-          let with_acc rs =
-            List.map
-              (fun (r : Rule.t) ->
-                if not collect then (r, None)
-                else begin
-                  let a =
-                    {
-                      acc_rule = r.id;
-                      acc_stratum = si;
-                      acc_time = 0.;
-                      acc_evals = 0;
-                      acc_facts = 0;
-                      acc_build = 0.;
-                      acc_probe = 0.;
-                      acc_insert = 0.;
-                    }
-                  in
-                  accs := a :: !accs;
-                  (r, Some a)
-                end)
-              rs
-          in
-          let plain = with_acc plain in
-          let agg = with_acc agg in
-          let now () = if collect then Ekg_obs.Clock.now_s () else 0. in
-          (* [time_s] is match plus insert time; [evals] counts insert
-             phases, one per round *)
-          let charge_build acc t0 n =
-            if collect then begin
-              join_builds := !join_builds + n;
-              match acc with
-              | Some a ->
-                a.acc_build <- a.acc_build +. (Ekg_obs.Clock.now_s () -. t0)
-              | None -> ()
-            end
-          in
-          let charge_probe acc dt matches =
-            if collect then begin
-              join_probe_hits := !join_probe_hits + List.length matches;
-              match acc with
-              | Some a ->
-                a.acc_probe <- a.acc_probe +. dt;
-                a.acc_time <- a.acc_time +. dt
-              | None -> ()
-            end
-          in
-          let charge_insert acc t0 nfacts =
+        let charge_probe acc dt matches =
+          if collect then begin
+            join_probe_hits := !join_probe_hits + List.length matches;
             match acc with
-            | Some a when collect ->
-              let dt = Ekg_obs.Clock.now_s () -. t0 in
-              a.acc_insert <- a.acc_insert +. dt;
-              a.acc_time <- a.acc_time +. dt;
-              a.acc_evals <- a.acc_evals + 1;
-              a.acc_facts <- a.acc_facts + nfacts
-            | Some _ | None -> ()
-          in
-          (* [None] means "first round": evaluate in full.  The delta
-             carries its length, so per-round stats are O(1) instead of
-             a [List.length] walk over the whole delta every round. *)
-          let delta = ref None in
-          let continue = ref true in
-          while !continue && not !overflow && !stop = None do
-            if budget_active && check_budget () then ()
+            | Some a ->
+              a.acc_probe <- a.acc_probe +. dt;
+              a.acc_time <- a.acc_time +. dt
+            | None -> ()
+          end
+        in
+        let charge_insert acc t0 nfacts =
+          match acc with
+          | Some a when collect ->
+            let dt = Ekg_obs.Clock.now_s () -. t0 in
+            a.acc_insert <- a.acc_insert +. dt;
+            a.acc_time <- a.acc_time +. dt;
+            a.acc_evals <- a.acc_evals + 1;
+            a.acc_facts <- a.acc_facts + nfacts
+          | Some _ | None -> ()
+        in
+        (* [None] means "first round": evaluate in full.  The delta
+           carries its length, so per-round stats are O(1) instead of
+           a [List.length] walk over the whole delta every round. *)
+        let delta = ref None in
+        let continue = ref true in
+        while !continue && not !overflow && !stop = None do
+          if budget_active && check_budget () then ()
+          else begin
+            incr total_rounds;
+            if !total_rounds > max_rounds then overflow := true
             else begin
-              incr total_rounds;
-              if !total_rounds > max_rounds then overflow := true
-              else begin
-                try
-              stratum_rounds.(si) <- stratum_rounds.(si) + 1;
-              let round = !total_rounds in
-              let round_t0 = now () in
-              let delta_size =
-                match !delta with None -> 0 | Some (_, n) -> n
-              in
-              let delta_filter =
-                if naive then None
-                else
-                  match !delta with
-                  | None -> None
-                  | Some (ids, n) ->
-                    let set = Hashtbl.create (max 8 n) in
-                    let preds = Hashtbl.create 8 in
-                    List.iter
-                      (fun i ->
-                        Hashtbl.replace set i ();
-                        Hashtbl.replace preds (Database.pred_sym_of_fact st.db i) ())
-                      ids;
-                    Some { Matcher.mem = Hashtbl.mem set; has_pred = Hashtbl.mem preds }
-              in
-              let card = Database.pred_card st.db in
-              let planned rs =
-                List.map
-                  (fun (r, acc) ->
-                    let plan = Plan.compile ~card r in
-                    if plan.Plan.reordered then incr plan_reorders;
-                    (r, acc, plan))
-                  rs
-              in
-              let plain = planned plain in
-              let agg = planned agg in
-              List.iter
+              try
+            stratum_rounds.(si) <- stratum_rounds.(si) + 1;
+            let round = !total_rounds in
+            let round_t0 = now () in
+            let delta_size =
+              match !delta with None -> 0 | Some (_, n) -> n
+            in
+            let delta_filter =
+              if naive then None
+              else
+                match !delta with
+                | None -> None
+                | Some (ids, n) ->
+                  let set = Hashtbl.create (max 8 n) in
+                  let preds = Hashtbl.create 8 in
+                  List.iter
+                    (fun i ->
+                      Hashtbl.replace set i ();
+                      Hashtbl.replace preds (Database.pred_sym_of_fact st.db i) ())
+                    ids;
+                  Some { Matcher.mem = Hashtbl.mem set; has_pred = Hashtbl.mem preds }
+            in
+            let card = Database.pred_card st.db in
+            let planned rs =
+              List.map
+                (fun (r, acc) ->
+                  let plan = Plan.compile ~card r in
+                  if plan.Plan.reordered then incr plan_reorders;
+                  (r, acc, plan))
+                rs
+            in
+            let plain = planned plain in
+            let agg = planned agg in
+            List.iter
+              (fun (r, acc, plan) ->
+                let t0 = now () in
+                charge_build acc t0 (Matcher.prepare st.db r plan))
+              plain;
+            (* match every plain rule against the pre-round db *)
+            let matched =
+              List.map
                 (fun (r, acc, plan) ->
                   let t0 = now () in
-                  charge_build acc t0 (Matcher.prepare st.db r plan))
-                plain;
-              (* match every plain rule against the pre-round db *)
-              let matched =
-                List.map
-                  (fun (r, acc, plan) ->
-                    let t0 = now () in
-                    let ms =
-                      Matcher.match_rule ?interrupt ?delta:delta_filter ~plan
-                        st.db r
-                    in
-                    (r, acc, ms, now () -. t0))
-                  plain
-              in
-              (* then insert, in rule order *)
-              let added = ref [] in
-              let added_count = ref 0 in
-              let admit acc t0 out =
-                let n = List.length out in
-                charge_insert acc t0 n;
-                added_count := !added_count + n;
-                added := List.rev_append out !added
-              in
-              List.iter
-                (fun (r, acc, ms, dt) ->
-                  charge_probe acc dt ms;
-                  let t0 = now () in
-                  admit acc t0 (insert_plain_matches st ~round r ms))
-                matched;
-              (* aggregate rules see the round's plain insertions: their
-                 indexes are ensured only now, or the probe would find
-                 them stale and scan *)
-              List.iter
-                (fun (r, acc, plan) ->
-                  let body = Matcher.agg_body r in
-                  let t0 = now () in
-                  charge_build acc t0 (Matcher.prepare st.db body plan);
-                  let t0 = now () in
-                  let ms = Matcher.match_rule ?interrupt ~plan st.db body in
-                  let groups = Matcher.group r ms in
-                  charge_probe acc (now () -. t0) ms;
-                  let t0 = now () in
-                  admit acc t0 (insert_agg_groups st ~round r groups))
-                agg;
-              if collect then
-                round_log :=
-                  {
-                    stratum = si;
-                    round;
-                    delta_size;
-                    new_facts = !added_count;
-                    time_s = Ekg_obs.Clock.now_s () -. round_t0;
-                  }
-                  :: !round_log;
-              if !added_count = 0 then continue := false
-              else delta := Some (!added, !added_count)
-                with Matcher.Interrupted ->
-                  (* tripped mid-match: [stop] is already set, the
-                     round's partial matches are discarded (nothing was
-                     inserted for them), and the loop exits above *)
-                  ()
-              end
+                  let ms =
+                    Matcher.match_rule ?interrupt ?delta:delta_filter ~plan
+                      st.db r
+                  in
+                  (r, acc, ms, now () -. t0))
+                plain
+            in
+            (* then insert, in rule order *)
+            let added = ref [] in
+            let added_count = ref 0 in
+            let admit acc t0 out =
+              let n = List.length out in
+              charge_insert acc t0 n;
+              added_count := !added_count + n;
+              added := List.rev_append out !added
+            in
+            List.iter
+              (fun (r, acc, ms, dt) ->
+                charge_probe acc dt ms;
+                let t0 = now () in
+                admit acc t0 (insert_plain_matches st ~round r ms))
+              matched;
+            (* aggregate rules see the round's plain insertions: their
+               indexes are ensured only now, or the probe would find
+               them stale and scan *)
+            List.iter
+              (fun (r, acc, plan) ->
+                let body = Matcher.agg_body r in
+                let t0 = now () in
+                charge_build acc t0 (Matcher.prepare st.db body plan);
+                let t0 = now () in
+                let ms = Matcher.match_rule ?interrupt ~plan st.db body in
+                let groups = Matcher.group r ms in
+                charge_probe acc (now () -. t0) ms;
+                let t0 = now () in
+                admit acc t0 (insert_agg_groups st ~round r groups))
+              agg;
+            if collect then
+              round_log :=
+                {
+                  stratum = si;
+                  round;
+                  delta_size;
+                  new_facts = !added_count;
+                  time_s = Ekg_obs.Clock.now_s () -. round_t0;
+                }
+                :: !round_log;
+            if !added_count = 0 then continue := false
+            else delta := Some (!added, !added_count)
+              with Matcher.Interrupted ->
+                (* tripped mid-match: [stop] is already set, the
+                   round's partial matches are discarded (nothing was
+                   inserted for them), and the loop exits above *)
+                ()
             end
-          done
+          end
+        done
+      in
+      List.iteri
+        (fun si rules ->
+          if !stop = None then
+            Ekg_obs.Trace.with_span_opt obs ?parent
+              ~labels:[ ("stratum", string_of_int si) ]
+              "chase.stratum"
+              (fun span ->
+                run_stratum si rules;
+                Option.iter
+                  (fun sp ->
+                    Ekg_obs.Trace.label sp "rounds"
+                      (string_of_int stratum_rounds.(si)))
+                  span))
+        strata;
+      let stratum_rounds_list =
+        Array.to_list (Array.sub stratum_rounds 0 (List.length strata))
+      in
+      match !stop with
+      | Some reason ->
+        (* the budget tripped: surface how far the run got so the
+           caller can report partial progress (e.g. in a 504 body) *)
+        let partial =
+          {
+            partial_rounds = !total_rounds;
+            partial_derived = st.derived;
+            partial_wall_s = Ekg_obs.Clock.now_s () -. t_start;
+            partial_stratum_rounds = stratum_rounds_list;
+          }
         in
-        List.iteri
-          (fun si rules ->
-            if !stop = None then
-              Ekg_obs.Trace.with_span_opt obs ?parent
-                ~labels:[ ("stratum", string_of_int si) ]
-                "chase.stratum"
-                (fun span ->
-                  run_stratum si rules;
-                  Option.iter
-                    (fun sp ->
-                      Ekg_obs.Trace.label sp "rounds"
-                        (string_of_int stratum_rounds.(si)))
-                    span))
-          strata;
-        let stratum_rounds_list =
-          Array.to_list (Array.sub stratum_rounds 0 (List.length strata))
-        in
-        match !stop with
-        | Some reason ->
-          (* the budget tripped: surface how far the run got so the
-             caller can report partial progress (e.g. in a 504 body) *)
-          let partial =
-            {
-              partial_rounds = !total_rounds;
-              partial_derived = st.derived;
-              partial_wall_s = Ekg_obs.Clock.now_s () -. t_start;
-              partial_stratum_rounds = stratum_rounds_list;
-            }
+        Error
+          (match reason with
+          | `Cancelled -> Cancelled partial
+          | (`Deadline | `Facts | `Rounds) as r ->
+            Budget_exceeded (r, partial))
+      | None ->
+      if !overflow then
+        Error (Divergent { max_rounds; stratum_rounds = stratum_rounds_list })
+      else begin
+        (* negative constraints: a derived ⊥ aborts the task *)
+        match Database.active st.db falsum with
+        | violation :: _ ->
+          let detail =
+            match Provenance.derivation st.prov violation.Fact.id with
+            | Some d ->
+              Printf.sprintf "constraint %s violated by %s" d.rule_id
+                (String.concat ", "
+                   (List.map
+                      (fun id -> Fact.to_string (Database.fact st.db id))
+                      d.premises))
+            | None -> "constraint violated"
           in
-          Error
-            (match reason with
-            | `Cancelled -> Cancelled partial
-            | (`Deadline | `Facts | `Rounds) as r ->
-              Budget_exceeded (r, partial))
-        | None ->
-        if !overflow then
-          Error (Divergent { max_rounds; stratum_rounds = stratum_rounds_list })
-        else begin
-          (* negative constraints: a derived ⊥ aborts the task *)
-          match Database.active st.db falsum with
-          | violation :: _ ->
-            let detail =
-              match Provenance.derivation st.prov violation.Fact.id with
-              | Some d ->
-                Printf.sprintf "constraint %s violated by %s" d.rule_id
-                  (String.concat ", "
-                     (List.map
-                        (fun id -> Fact.to_string (Database.fact st.db id))
-                        d.premises))
-              | None -> "constraint violated"
-            in
-            Error (Inconsistent detail)
-          | [] ->
-            let stats_record =
-              if not collect then None
-              else begin
-                let per_rule =
-                  List.rev_map
-                    (fun a ->
-                      {
-                        rule_id = a.acc_rule;
-                        stratum = a.acc_stratum;
-                        time_s = a.acc_time;
-                        evals = a.acc_evals;
-                        facts = a.acc_facts;
-                        build_s = a.acc_build;
-                        probe_s = a.acc_probe;
-                        insert_s = a.acc_insert;
-                      })
-                    !accs
-                in
-                Some
-                  {
-                    per_rule;
-                    per_round = List.rev !round_log;
-                    rounds_per_stratum = stratum_rounds_list;
-                    agg_superseded = st.superseded;
-                    wall_s = Ekg_obs.Clock.now_s () -. t_start;
-                    plan_reorders = !plan_reorders;
-                    join_builds = !join_builds;
-                    join_probe_hits = !join_probe_hits;
-                  }
-              end
-            in
-            (match stats, stats_record with
-            | Some sink, Some s ->
-              push_stats sink ~rounds:!total_rounds ~derived:st.derived s
-            | _ -> ());
-            Ok
-              {
-                db = st.db;
-                prov = st.prov;
-                rounds = !total_rounds;
-                derived_count = st.derived;
-                stats = stats_record;
-              }
-        end)))
+          Error (Inconsistent detail)
+        | [] ->
+          let stats_record =
+            if not collect then None
+            else begin
+              let per_rule =
+                List.rev_map
+                  (fun a ->
+                    {
+                      rule_id = a.acc_rule;
+                      stratum = a.acc_stratum;
+                      time_s = a.acc_time;
+                      evals = a.acc_evals;
+                      facts = a.acc_facts;
+                      build_s = a.acc_build;
+                      probe_s = a.acc_probe;
+                      insert_s = a.acc_insert;
+                    })
+                  !accs
+              in
+              Some
+                {
+                  per_rule;
+                  per_round = List.rev !round_log;
+                  rounds_per_stratum = stratum_rounds_list;
+                  agg_superseded = st.superseded;
+                  wall_s = Ekg_obs.Clock.now_s () -. t_start;
+                  plan_reorders = !plan_reorders;
+                  join_builds = !join_builds;
+                  join_probe_hits = !join_probe_hits;
+                }
+            end
+          in
+          (match stats, stats_record with
+          | Some sink, Some s ->
+            push_stats sink ~rounds:!total_rounds ~derived:st.derived s
+          | _ -> ());
+          Ok
+            {
+              db = st.db;
+              prov = st.prov;
+              rounds = !total_rounds;
+              derived_count = st.derived;
+              stats = stats_record;
+            }
+      end))
+
+let load ?(into = Database.create ()) atoms =
+  let rec go = function
+    | [] -> Ok into
+    | a :: rest -> (
+      match Database.add_atom into a with
+      | Ok _ -> go rest
+      | Error e -> Error (Invalid_edb e))
+  in
+  go atoms
+
+let run_checked ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb =
+  match load edb with
+  | Error _ as e -> e
+  | Ok db -> run_store ?naive ?max_rounds ?budget ?stats ?obs ?parent program db
 
 let run ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb =
   match run_checked ?naive ?max_rounds ?budget ?stats ?obs ?parent program edb with

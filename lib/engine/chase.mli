@@ -56,7 +56,9 @@ type stats = {
   per_round : round_stat list;     (** execution order *)
   rounds_per_stratum : int list;   (** by ascending stratum *)
   agg_superseded : int;            (** stale aggregate facts deactivated *)
-  wall_s : float;                  (** chase wall-clock, EDB load included *)
+  wall_s : float;                  (** chase wall-clock from the start of
+                                       {!run_store}; building the store
+                                       from an atom list is excluded *)
   plan_reorders : int;             (** compiled plans deviating from
                                        textual body order, summed over
                                        rules × rounds *)
@@ -168,6 +170,29 @@ val client_error : error -> bool
 val partial_to_string : partial -> string
 (** ["12 rounds, 4096 facts derived, 51.2 ms elapsed"]. *)
 
+val load : ?into:Database.t -> Atom.t list -> (Database.t, error) Stdlib.result
+(** Insert ground atoms, in order, into [into] (default: a fresh
+    store) and return it.  Fails with {!Invalid_edb} on the first
+    non-ground atom. *)
+
+val run_store :
+  ?naive:bool ->
+  ?max_rounds:int ->
+  ?budget:budget ->
+  ?stats:Ekg_obs.Metrics.t ->
+  ?obs:Ekg_obs.Trace.t ->
+  ?parent:Ekg_obs.Trace.span ->
+  Program.t ->
+  Database.t ->
+  (result, error) Stdlib.result
+(** The one chase entry: run the program to fixpoint starting from the
+    facts already in the store, which becomes the result's [db] and is
+    mutated in place.  Every fact present at the start counts as
+    extensional (it has no recorded derivation).  The goal-directed
+    query lane passes a {!Database.overlay} of a frozen base here, so
+    the extensional store is shared instead of rebuilt per query.
+    Arguments and errors are those of {!run}. *)
+
 val run_checked :
   ?naive:bool ->
   ?max_rounds:int ->
@@ -180,7 +205,8 @@ val run_checked :
   (result, error) Stdlib.result
 (** Like {!run} but with a structured error, so callers (notably the
     explanation server) can distinguish bad input from engine limits
-    without string matching. *)
+    without string matching.  [run_checked program edb] is
+    {!load} [edb] followed by {!run_store}. *)
 
 val run :
   ?naive:bool ->

@@ -105,39 +105,66 @@ let ix_add ix h row =
    bucket cell.  Keys are not stored: a probe compares a candidate
    row's columns, and growth re-hashes rows from the columns.  Capacity
    stays above twice the row count.  Unlike [cg_indexes] it is
-   maintained eagerly by [add] and is part of the store, not a cache. *)
+   maintained eagerly by [add] and is part of the store, not a cache.
+
+   [cg_indexes] maps a key-column mask to its hash index.  The list is
+   published through an [Atomic] so that indexes built on a frozen
+   group by one query are visible, fully built, to every concurrent
+   query over the same base (see [shared_index]). *)
 type colgroup = {
   cg_arity : int;
   cg_cols : Intvec.t array;            (* per argument position: vids *)
   cg_rows : Intvec.t;                  (* row -> fact id *)
   mutable cg_slots : int array;        (* unique key: row per slot, -1 = free *)
-  cg_indexes : (int, colindex) Hashtbl.t;  (* key-column mask -> index *)
+  cg_indexes : (int * colindex) list Atomic.t;  (* key-column mask -> index *)
 }
 
+(* A store is either a root or an {e overlay} of a frozen [base].  An
+   overlay continues the base's numbering — fact ids, value ids, symbols
+   and labelled nulls — and keeps only what it added: its own facts at
+   [id - base_size], its own values at [vid - base_vals], and its own
+   column groups, which shadow the base's group of the same
+   (symbol, arity).  Reads resolve through to the base; writes stay
+   private, and the first write to a group the base owns copies that
+   group.  Activation changes to base facts live in [base_flips].  A
+   root has [base = None] and [base_size = base_vals = 0], so the same
+   offset arithmetic serves both. *)
 type t = {
-  syms : Symtab.t;
-  (* fact ids are dense from 0: both stores are flat growable arrays *)
-  mutable facts : Fact.t array;            (* fact by id *)
-  fact_syms : Intvec.t;                    (* pred symbol by fact id *)
-  (* activation state: one bit per fact id, set = active *)
+  base : t option;
+  base_size : int;                         (* fact ids [0, base_size) are the base's *)
+  base_vals : int;                         (* value ids [0, base_vals) are the base's *)
+  mutable frozen : bool;                   (* read-only from now on *)
+  ix_lock : Mutex.t;                       (* serializes index builds once frozen *)
+  syms : Symtab.t;                         (* the base's symbols, then this store's *)
+  (* own facts, by [id - base_size]: flat growable arrays *)
+  mutable facts : Fact.t array;
+  fact_syms : Intvec.t;                    (* pred symbol *)
+  (* activation state: one bit per own fact, set = active *)
   mutable active_bits : Bytes.t;
-  mutable inactive_count : int;
-  (* columnar representation: the column groups of each pred symbol,
-     one per arity it was inserted at *)
+  base_flips : (int, bool) Hashtbl.t;      (* base fact id -> activation here *)
+  mutable inactive_count : int;            (* inactive facts, the base's included *)
+  (* columnar representation: the own column groups of each pred
+     symbol, one per arity it was inserted at *)
   mutable groups : colgroup list array;
-  val_ids : int ValTbl.t;                  (* value -> vid *)
-  mutable val_arr : Value.t array;         (* vid -> first-interned value *)
-  mutable val_count : int;
+  val_ids : int ValTbl.t;                  (* own value -> vid *)
+  mutable val_arr : Value.t array;         (* vid - base_vals -> first-interned value *)
+  mutable val_count : int;                 (* every vid, the base's included *)
   mutable next_id : int;
   mutable null_counter : int;
 }
 
 let create () =
   {
+    base = None;
+    base_size = 0;
+    base_vals = 0;
+    frozen = false;
+    ix_lock = Mutex.create ();
     syms = Symtab.create ();
     facts = Array.make 256 no_fact;
     fact_syms = Intvec.create ~capacity:256 ();
     active_bits = Bytes.make 32 '\000';
+    base_flips = Hashtbl.create 1;
     inactive_count = 0;
     groups = Array.make 16 [];
     val_ids = ValTbl.create 1024;
@@ -147,33 +174,60 @@ let create () =
     null_counter = 0;
   }
 
+let freeze t = t.frozen <- true
+
+let overlay b =
+  if not b.frozen then invalid_arg "Database.overlay: the base is not frozen";
+  {
+    base = Some b;
+    base_size = b.next_id;
+    base_vals = b.val_count;
+    frozen = false;
+    ix_lock = Mutex.create ();
+    syms = Symtab.copy b.syms;
+    facts = Array.make 64 no_fact;
+    fact_syms = Intvec.create ~capacity:64 ();
+    active_bits = Bytes.make 8 '\000';
+    base_flips = Hashtbl.create 1;
+    inactive_count = b.inactive_count;
+    groups = Array.make (max 16 (Array.length b.groups)) [];
+    val_ids = ValTbl.create 64;
+    val_arr = Array.make 64 (Value.Int 0);
+    val_count = b.val_count;
+    next_id = b.next_id;
+    null_counter = b.null_counter;
+  }
+
+let writable t what =
+  if t.frozen then invalid_arg ("Database." ^ what ^ ": the store is frozen")
+
+let copy_group (g : colgroup) =
+  {
+    cg_arity = g.cg_arity;
+    cg_cols = Array.map Intvec.copy g.cg_cols;
+    cg_rows = Intvec.copy g.cg_rows;
+    cg_slots = Array.copy g.cg_slots;
+    cg_indexes = Atomic.make [];
+  }
+
 let copy t =
   (* facts and their tuples are immutable once inserted, so sharing the
      Fact.t values is safe; every mutable container is copied, the
-     unique-key slots included.  Column-group hash indexes are {e not}
-     copied: they are pure caches that [ensure_index] rebuilds on
-     demand. *)
-  let copy_group (g : colgroup) =
-    {
-      cg_arity = g.cg_arity;
-      cg_cols = Array.map Intvec.copy g.cg_cols;
-      cg_rows = Intvec.copy g.cg_rows;
-      cg_slots = Array.copy g.cg_slots;
-      cg_indexes = Hashtbl.create 4;
-    }
-  in
+     unique-key slots included.  An overlay's copy shares the (frozen)
+     base.  Column-group hash indexes are {e not} copied: they are pure
+     caches that [ensure_index] rebuilds on demand. *)
   {
+    t with
+    frozen = false;
+    ix_lock = Mutex.create ();
     syms = Symtab.copy t.syms;
     facts = Array.copy t.facts;
     fact_syms = Intvec.copy t.fact_syms;
     active_bits = Bytes.copy t.active_bits;
-    inactive_count = t.inactive_count;
+    base_flips = Hashtbl.copy t.base_flips;
     groups = Array.map (List.map copy_group) t.groups;
     val_ids = ValTbl.copy t.val_ids;
     val_arr = Array.copy t.val_arr;
-    val_count = t.val_count;
-    next_id = t.next_id;
-    null_counter = t.null_counter;
   }
 
 let intern t pred =
@@ -187,18 +241,48 @@ let intern t pred =
 
 let pred_sym t pred = Symtab.find t.syms pred
 
-(* every column group of a predicate, in arity-creation order *)
-let groups_of t pred =
-  match Symtab.find t.syms pred with None -> [] | Some sym -> t.groups.(sym)
-
-let find_group t ~sym ~arity =
+let own_group t ~sym ~arity =
   if sym < 0 || sym >= Array.length t.groups then None
   else List.find_opt (fun g -> g.cg_arity = arity) t.groups.(sym)
 
-(* --- activation bitmap ------------------------------------------------------ *)
+(* the group serving (sym, arity) and the store that owns it: this
+   store's own group, else the base's *)
+let rec owned_group t ~sym ~arity =
+  match own_group t ~sym ~arity, t.base with
+  | Some g, _ -> Some (t, g)
+  | None, Some b -> owned_group b ~sym ~arity
+  | None, None -> None
 
-let bit_set t id =
-  let byte = id lsr 3 in
+let find_group t ~sym ~arity = Option.map snd (owned_group t ~sym ~arity)
+
+(* every column group of a predicate symbol, own groups shadowing the
+   base's of the same arity *)
+let rec groups_of_sym t sym =
+  let own = if sym < Array.length t.groups then t.groups.(sym) else [] in
+  match t.base with
+  | None -> own
+  | Some b ->
+    own
+    @ List.filter
+        (fun g -> not (List.exists (fun o -> o.cg_arity = g.cg_arity) own))
+        (groups_of_sym b sym)
+
+let groups_of t pred =
+  match Symtab.find t.syms pred with None -> [] | Some sym -> groups_of_sym t sym
+
+(* --- facts and the activation bitmap ----------------------------------------- *)
+
+let rec fact_of t id =
+  if id >= t.base_size then t.facts.(id - t.base_size)
+  else match t.base with Some b -> fact_of b id | None -> assert false
+
+let rec sym_of t id =
+  if id >= t.base_size then Intvec.get t.fact_syms (id - t.base_size)
+  else match t.base with Some b -> sym_of b id | None -> assert false
+
+(* bits address own facts: [i = id - base_size] *)
+let bit_set t i =
+  let byte = i lsr 3 in
   if byte >= Bytes.length t.active_bits then begin
     let grown =
       Bytes.make (max (2 * Bytes.length t.active_bits) (byte + 1)) '\000'
@@ -208,38 +292,54 @@ let bit_set t id =
   end;
   Bytes.unsafe_set t.active_bits byte
     (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.active_bits byte) lor (1 lsl (id land 7))))
+       (Char.code (Bytes.unsafe_get t.active_bits byte) lor (1 lsl (i land 7))))
 
-let bit_clear t id =
-  let byte = id lsr 3 in
+let bit_clear t i =
+  let byte = i lsr 3 in
   Bytes.unsafe_set t.active_bits byte
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get t.active_bits byte)
-       land lnot (1 lsl (id land 7))))
+       land lnot (1 lsl (i land 7))))
 
-let bit_get t id =
-  Char.code (Bytes.unsafe_get t.active_bits (id lsr 3)) land (1 lsl (id land 7))
+let bit_get t i =
+  Char.code (Bytes.unsafe_get t.active_bits (i lsr 3)) land (1 lsl (i land 7))
   <> 0
+
+(* activation of a known id (0 <= id < next_id) *)
+let rec active_id t id =
+  if id >= t.base_size then bit_get t (id - t.base_size)
+  else if Hashtbl.length t.base_flips > 0 && Hashtbl.mem t.base_flips id then
+    Hashtbl.find t.base_flips id
+  else match t.base with Some b -> active_id b id | None -> assert false
+
+let set_active t id active =
+  if id >= t.base_size then
+    (if active then bit_set else bit_clear) t (id - t.base_size)
+  else Hashtbl.replace t.base_flips id active
 
 (* --- value interning and column groups -------------------------------------- *)
 
+let rec value_id t v =
+  let vid = match t.base with Some b -> value_id b v | None -> -1 in
+  if vid >= 0 then vid
+  else match ValTbl.find_opt t.val_ids v with Some vid -> vid | None -> -1
+
 let intern_value t v =
-  match ValTbl.find_opt t.val_ids v with
-  | Some vid -> vid
-  | None ->
+  let vid = value_id t v in
+  if vid >= 0 then vid
+  else begin
     let vid = t.val_count in
-    if vid = Array.length t.val_arr then begin
-      let grown = Array.make (2 * vid) (Value.Int 0) in
-      Array.blit t.val_arr 0 grown 0 vid;
+    let i = vid - t.base_vals in
+    if i = Array.length t.val_arr then begin
+      let grown = Array.make (2 * i) (Value.Int 0) in
+      Array.blit t.val_arr 0 grown 0 i;
       t.val_arr <- grown
     end;
-    t.val_arr.(vid) <- v;
+    t.val_arr.(i) <- v;
     t.val_count <- vid + 1;
     ValTbl.add t.val_ids v vid;
     vid
-
-let value_id t v =
-  match ValTbl.find_opt t.val_ids v with Some vid -> vid | None -> -1
+  end
 
 (* Deterministic key mixing (pure 63-bit int arithmetic, no per-process
    seed); [ix_slot] spreads the result over a table, and collisions are
@@ -247,18 +347,23 @@ let value_id t v =
    not avalanche. *)
 let key_hash_add acc vid = (acc * 1000003) + vid
 
-let colgroup_of t sym arity =
-  match find_group t ~sym ~arity with
+(* the group [add] appends to: this store's own, else a private copy
+   of the base's (copy-on-write), else a fresh one *)
+let writable_group t sym arity =
+  match own_group t ~sym ~arity with
   | Some g -> g
   | None ->
     let g =
-      {
-        cg_arity = arity;
-        cg_cols = Array.init arity (fun _ -> Intvec.create ~capacity:16 ());
-        cg_rows = Intvec.create ~capacity:16 ();
-        cg_slots = Array.make 4 (-1);
-        cg_indexes = Hashtbl.create 4;
-      }
+      match Option.bind t.base (fun b -> find_group b ~sym ~arity) with
+      | Some bg -> copy_group bg
+      | None ->
+        {
+          cg_arity = arity;
+          cg_cols = Array.init arity (fun _ -> Intvec.create ~capacity:16 ());
+          cg_rows = Intvec.create ~capacity:16 ();
+          cg_slots = Array.make 4 (-1);
+          cg_indexes = Atomic.make [];
+        }
     in
     t.groups.(sym) <- t.groups.(sym) @ [ g ];
     g
@@ -310,28 +415,37 @@ let uk_append (g : colgroup) vids id =
   end
   else uk_insert g row
 
+(* the stored fact of a tuple regardless of activity, or [None] — one
+   unique-key probe of the group serving it; never interns *)
+let lookup t sym args vids =
+  match find_group t ~sym ~arity:(Array.length args) with
+  | Some g when Array.for_all (fun vid -> vid >= 0) vids ->
+    let row = key_row g vids in
+    if row < 0 then None else Some (fact_of t (Intvec.unsafe_get g.cg_rows row))
+  | Some _ | None -> None
+
 let add t pred args =
+  writable t "add";
   let sym = intern t pred in
-  let g = colgroup_of t sym (Array.length args) in
   let vids = Array.map (value_id t) args in
-  let row = if Array.for_all (fun vid -> vid >= 0) vids then key_row g vids else -1 in
-  if row >= 0 then `Existing t.facts.(Intvec.unsafe_get g.cg_rows row)
-  else begin
+  match lookup t sym args vids with
+  | Some f -> `Existing f
+  | None ->
     let id = t.next_id in
     t.next_id <- id + 1;
     let f = { Fact.id; pred; args } in
-    if id = Array.length t.facts then begin
-      let grown = Array.make (2 * id) no_fact in
-      Array.blit t.facts 0 grown 0 id;
+    let i = id - t.base_size in
+    if i = Array.length t.facts then begin
+      let grown = Array.make (2 * i) no_fact in
+      Array.blit t.facts 0 grown 0 i;
       t.facts <- grown
     end;
-    t.facts.(id) <- f;
+    t.facts.(i) <- f;
     Intvec.push t.fact_syms sym;
-    bit_set t id;
+    bit_set t i;
     Array.iteri (fun i vid -> if vid < 0 then vids.(i) <- intern_value t args.(i)) vids;
-    uk_append g vids id;
+    uk_append (writable_group t sym (Array.length args)) vids id;
     `Added f
-  end
 
 let add_atom t (a : Atom.t) =
   if not (Atom.is_ground a) then Error ("non-ground fact: " ^ Atom.to_string a)
@@ -343,39 +457,39 @@ let add_atom t (a : Atom.t) =
     Ok (add t a.pred args)
   end
 
+let known t id = id >= 0 && id < t.next_id
+let is_active t id = known t id && active_id t id
+let all_active t = t.inactive_count = 0
+
 let deactivate t id =
-  if id >= 0 && id < t.next_id && bit_get t id then begin
-    bit_clear t id;
+  writable t "deactivate";
+  if is_active t id then begin
+    set_active t id false;
     t.inactive_count <- t.inactive_count + 1
   end
 
 let reactivate t id =
-  if id >= 0 && id < t.next_id && not (bit_get t id) then begin
-    bit_set t id;
+  writable t "reactivate";
+  if known t id && not (active_id t id) then begin
+    set_active t id true;
     t.inactive_count <- t.inactive_count - 1
   end
 
-let is_active t id = id >= 0 && id < t.next_id && bit_get t id
-let all_active t = t.inactive_count = 0
-
 let fact t id =
-  if id < 0 || id >= t.next_id then raise Not_found;
-  t.facts.(id)
+  if not (known t id) then raise Not_found;
+  fact_of t id
 
 let pred_sym_of_fact t id =
-  if id < 0 || id >= t.next_id then raise Not_found;
-  Intvec.get t.fact_syms id
+  if not (known t id) then raise Not_found;
+  sym_of t id
 
 let group_of t pred arity =
   Option.bind (pred_sym t pred) (fun sym -> find_group t ~sym ~arity)
 
 let find_exact t pred args =
-  let vids = Array.map (value_id t) args in
-  match group_of t pred (Array.length args) with
-  | Some g when Array.for_all (fun vid -> vid >= 0) vids ->
-    let row = key_row g vids in
-    if row < 0 then None else Some t.facts.(Intvec.unsafe_get g.cg_rows row)
-  | Some _ | None -> None
+  match pred_sym t pred with
+  | None -> None
+  | Some sym -> lookup t sym args (Array.map (value_id t) args)
 
 (* the fact ids of a predicate's rows that satisfy [keep], ascending
    across all its arities *)
@@ -385,8 +499,8 @@ let pred_ids t pred keep =
   | [ g ] -> ids g
   | groups -> List.sort Int.compare (List.concat_map ids groups)
 
-let all_of_pred t pred = List.map (fact t) (pred_ids t pred (fun _ -> true))
-let active t pred = List.map (fact t) (pred_ids t pred (is_active t))
+let all_of_pred t pred = List.map (fact_of t) (pred_ids t pred (fun _ -> true))
+let active t pred = List.map (fact_of t) (pred_ids t pred (active_id t))
 
 let pred_card t pred =
   List.fold_left (fun n g -> n + Intvec.length g.cg_rows) 0 (groups_of t pred)
@@ -394,7 +508,7 @@ let pred_card t pred =
 let active_all t =
   let acc = ref [] in
   for id = t.next_id - 1 downto 0 do
-    if is_active t id then acc := t.facts.(id) :: !acc
+    if active_id t id then acc := fact_of t id :: !acc
   done;
   !acc
 
@@ -404,11 +518,12 @@ let active_size t = size t - t.inactive_count
 let fingerprint t =
   let lines = ref [] in
   for id = t.next_id - 1 downto 0 do
-    if is_active t id then lines := Fact.to_string t.facts.(id) :: !lines
+    if active_id t id then lines := Fact.to_string (fact_of t id) :: !lines
   done;
   String.concat "\n" (List.sort String.compare !lines)
 
 let fresh_null t =
+  writable t "fresh_null";
   let i = t.null_counter in
   t.null_counter <- i + 1;
   Value.null i
@@ -448,9 +563,9 @@ let find_matches t (pattern : Atom.t) subst ~first =
   | Some g, Some ids ->
     let try_row row acc =
       let id = Intvec.unsafe_get g.cg_rows row in
-      if not (bit_get t id) then acc
+      if not (active_id t id) then acc
       else
-        let f = t.facts.(id) in
+        let f = fact_of t id in
         match Subst.match_atom subst ~pattern f.Fact.args with
         | Some s -> (f, s) :: acc
         | None -> acc
@@ -501,49 +616,79 @@ module Cols = struct
   let col (g : group) i row = Intvec.unsafe_get g.cg_cols.(i) row
 end
 
-let value_of_id t vid =
+let rec value_of_id t vid =
   if vid < 0 || vid >= t.val_count then invalid_arg "Database.value_of_id";
-  t.val_arr.(vid)
+  if vid >= t.base_vals then t.val_arr.(vid - t.base_vals)
+  else match t.base with Some b -> value_of_id b vid | None -> assert false
+
+let find_index (g : colgroup) mask = List.assoc_opt mask (Atomic.get g.cg_indexes)
+
+(* index rows [ix.ix_rows, rows) of [g] on the columns set in [mask] *)
+let index_rows (g : colgroup) ix ~mask =
+  let nrows = Intvec.length g.cg_rows in
+  let fresh = nrows - ix.ix_rows in
+  if fresh > 0 then begin
+    let keycols = ref [] in
+    for i = g.cg_arity - 1 downto 0 do
+      if mask land (1 lsl i) <> 0 then keycols := i :: !keycols
+    done;
+    let keycols = Array.of_list !keycols in
+    for row = ix.ix_rows to nrows - 1 do
+      let h = ref 0 in
+      Array.iter
+        (fun c -> h := key_hash_add !h (Intvec.unsafe_get g.cg_cols.(c) row))
+        keycols;
+      ix_add ix !h row
+    done;
+    ix.ix_rows <- nrows
+  end;
+  max 0 fresh
+
+(* A frozen group's rows never change, so its index is built once,
+   complete, under the owner's lock, and only then published: a reader
+   that finds it through [find_index] sees a finished table, and the
+   overlays of every concurrent query share it. *)
+let shared_index owner (g : colgroup) ~mask =
+  let fresh () =
+    match find_index g mask with
+    | Some ix -> ix.ix_rows = Intvec.length g.cg_rows
+    | None -> false
+  in
+  if fresh () then 0
+  else
+    Mutex.protect owner.ix_lock (fun () ->
+        if fresh () then 0
+        else begin
+          let ix = ix_create () in
+          let n = index_rows g ix ~mask in
+          Atomic.set g.cg_indexes
+            ((mask, ix) :: List.remove_assoc mask (Atomic.get g.cg_indexes));
+          n
+        end)
 
 let ensure_index t ~sym ~arity ~mask =
   if mask = 0 then 0
   else
-    match find_group t ~sym ~arity with
+    match owned_group t ~sym ~arity with
     | None -> 0
-    | Some g ->
+    | Some (owner, g) when owner.frozen -> shared_index owner g ~mask
+    | Some (_, g) ->
       let ix =
-        match Hashtbl.find_opt g.cg_indexes mask with
+        match find_index g mask with
         | Some ix -> ix
         | None ->
           let ix = ix_create () in
-          Hashtbl.add g.cg_indexes mask ix;
+          Atomic.set g.cg_indexes ((mask, ix) :: Atomic.get g.cg_indexes);
           ix
       in
-      let nrows = Intvec.length g.cg_rows in
-      let fresh = nrows - ix.ix_rows in
-      if fresh > 0 then begin
-        let keycols = ref [] in
-        for i = arity - 1 downto 0 do
-          if mask land (1 lsl i) <> 0 then keycols := i :: !keycols
-        done;
-        let keycols = Array.of_list !keycols in
-        for row = ix.ix_rows to nrows - 1 do
-          let h = ref 0 in
-          Array.iter
-            (fun c -> h := key_hash_add !h (Intvec.unsafe_get g.cg_cols.(c) row))
-            keycols;
-          ix_add ix !h row
-        done;
-        ix.ix_rows <- nrows
-      end;
-      max 0 fresh
+      index_rows g ix ~mask
 
 type index_handle = colindex
 
 let index_handle (g : Cols.group) ~mask =
-  match Hashtbl.find_opt g.cg_indexes mask with
-  | None -> None
-  | Some ix -> if ix.ix_rows <> Intvec.length g.cg_rows then None else Some ix
+  match find_index g mask with
+  | Some ix when ix.ix_rows = Intvec.length g.cg_rows -> Some ix
+  | Some _ | None -> None
 
 let probe_handle (ix : index_handle) ~hash =
   let cap_mask = ix.ix_cap_mask in
@@ -577,8 +722,8 @@ let encode b t =
   Symtab.encode b t.syms;
   Wire.w_int b t.next_id;
   for id = 0 to t.next_id - 1 do
-    let f = t.facts.(id) in
-    Wire.w_int b (Intvec.get t.fact_syms id);
+    let f = fact_of t id in
+    Wire.w_int b (sym_of t id);
     Wire.w_int b (Array.length f.Fact.args);
     Array.iter (Wire.w_value b) f.Fact.args
   done;
@@ -586,7 +731,7 @@ let encode b t =
   (* ascending id order reproduces the sorted list the previous
      hash-set representation wrote: the wire format is unchanged *)
   for id = 0 to t.next_id - 1 do
-    if not (bit_get t id) then Wire.w_int b id
+    if not (active_id t id) then Wire.w_int b id
   done;
   Wire.w_int b t.null_counter
 

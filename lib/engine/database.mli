@@ -23,7 +23,44 @@ val copy : t -> t
     to either database never show through the other, so a reader can
     keep using the original while an incremental update runs against
     the copy ({!Chase.copy_result}).  O(facts); hash-join indexes are
-    caches, not copied, and {!ensure_index} rebuilds them on demand. *)
+    caches, not copied, and {!ensure_index} rebuilds them on demand.
+    The copy of an overlay copies only the overlay's own state and
+    shares its frozen base; a copy is never frozen. *)
+
+(** {1 Frozen bases and overlays}
+
+    The goal-directed query lane runs many small private chases over
+    one large extensional store.  Instead of re-inserting the store
+    for every query, the store is {!freeze}d once and each query
+    chases an {!overlay} of it.
+
+    An overlay is a complete store in its own right: every read
+    (lookup, matching, cardinality, fact by id, interned values)
+    resolves through to the base, and every write (insertion,
+    (de)activation, labelled nulls) stays private.  Its fact ids, value
+    ids, predicate symbols and null counter continue from the base's,
+    so a chase over [overlay base] assigns exactly the ids a chase over
+    a fresh store loaded with the same facts would.  Insertions go to
+    the overlay's own column groups; the first insertion into a
+    (predicate, arity) group the base owns copies that group into the
+    overlay (a magic-sets program never does this: it only adds demand
+    and adorned predicates).  Re-adding a tuple the base already holds
+    is a read, answered [`Existing].
+
+    A frozen store rejects writes with [Invalid_argument].  It stays
+    safe to read from any number of domains, and that includes
+    {!ensure_index} over it, directly or through an overlay: an index on
+    a frozen group is built at most once, under the base's lock, and
+    published complete, so every overlay and every concurrent query
+    shares it.  Creating an overlay costs O(predicates), independent of
+    the base's size. *)
+
+val freeze : t -> unit
+(** Make the store read-only, for good. *)
+
+val overlay : t -> t
+(** A fresh, writable overlay of a frozen base.  Raises
+    [Invalid_argument] if the base is not frozen. *)
 
 val add : t -> string -> Value.t array -> [ `Added of Fact.t | `Existing of Fact.t ]
 (** Insert or retrieve. A previously deactivated identical tuple is
@@ -169,7 +206,10 @@ val ensure_index : t -> sym:int -> arity:int -> mask:int -> int
 (** Build or extend the hash index of the column group on the key
     columns set in [mask] (bit [i] = argument position [i]).  Returns
     the number of rows newly indexed (0 when the index was already
-    fresh or the group does not exist).  Sequential-phase only. *)
+    fresh or the group does not exist).  On a group this store owns
+    and may still write, sequential-phase only; on a frozen group
+    (a frozen store's, or a base's through an overlay) safe from any
+    domain, see {!overlay}. *)
 
 type index_handle
 (** A resolved, fresh index over a column group — the mask lookup and

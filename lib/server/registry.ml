@@ -8,12 +8,10 @@ type cached_explanation = {
   preds : string list;  (* predicates whose change invalidates the entry *)
 }
 
-(* one concrete query's cached result, generation-stamped: an entry
-   whose [ca_gen] no longer matches the session's [update_gen] must
-   never serve *)
+(* one concrete query's cached result, computed at the session's
+   current update generation: every commit drops them all *)
 type cached_answers = {
   ca_result : Pipeline.query_result;
-  ca_gen : int;
   mutable ca_used : float;
 }
 
@@ -21,7 +19,6 @@ type cached_answers = {
    specialization — pure in the immutable program, so it survives fact
    updates — plus an LRU of recently answered concrete queries *)
 type query_entry = {
-  qe_pred : string;
   qe_spec : Pipeline.specialization;
   mutable qe_used : float;
   qe_answers : (string, cached_answers) Hashtbl.t;
@@ -44,6 +41,7 @@ type session = {
   mutable chase : Chase.result option;
   explain_cache : (string * string, cached_explanation) Hashtbl.t;
   query_cache : (string, query_entry) Hashtbl.t;  (* keyed pred ^ "/" ^ mask *)
+  mutable query_base : (int * Database.t) option;  (* frozen EDB store, by generation *)
   mutable update_gen : int;
   mutable explain_count : int;
   mutable query_count : int;
@@ -83,6 +81,7 @@ let query_rewrite_misses_metric = "ekg_query_rewrite_cache_misses_total"
 let query_answer_hits_metric = "ekg_query_answer_cache_hits_total"
 let query_answer_misses_metric = "ekg_query_answer_cache_misses_total"
 let query_invalidations_metric = "ekg_query_cache_invalidations_total"
+let query_base_builds_metric = "ekg_query_base_builds_total"
 let query_seconds_metric = "ekg_query_seconds_total"
 
 let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?store
@@ -247,6 +246,7 @@ let make_session ~id ~name ~spec ~pipeline ~edb ~created_at ~update_gen =
     chase = None;
     explain_cache = Hashtbl.create 16;
     query_cache = Hashtbl.create 8;
+    query_base = None;
     update_gen;
     explain_count = 0;
     query_count = 0;
@@ -483,22 +483,20 @@ let invalidate_cache_locked (session : session) changed =
   in
   List.iter (Hashtbl.remove session.explain_cache) stale
 
-(* drop cached query answers whose predicate the update could have
-   re-derived ([changed] is already the affected-predicate closure);
-   the specializations themselves survive — they depend only on the
-   immutable program.  Returns the number of answers dropped; called
-   with the session lock held. *)
-let invalidate_queries_locked (session : session) changed =
-  let dropped = ref 0 in
-  Hashtbl.iter
-    (fun _ (entry : query_entry) ->
-      if List.mem entry.qe_pred changed && Hashtbl.length entry.qe_answers > 0
-      then begin
-        dropped := !dropped + Hashtbl.length entry.qe_answers;
-        Hashtbl.reset entry.qe_answers
-      end)
-    session.query_cache;
-  !dropped
+(* drop every cached query answer and the query base: both belong to
+   the generation the commit just superseded, so neither can serve
+   again, and an answer's scoped instance is an overlay that would keep
+   the superseded base alive.  The specializations survive — they
+   depend only on the immutable program.  Returns the number of
+   answers dropped; called with the session lock held. *)
+let invalidate_queries_locked (session : session) =
+  session.query_base <- None;
+  Hashtbl.fold
+    (fun _ (entry : query_entry) dropped ->
+      let n = Hashtbl.length entry.qe_answers in
+      Hashtbl.reset entry.qe_answers;
+      dropped + n)
+    session.query_cache 0
 
 let cached_explanations (session : session) ~strategy ~query =
   with_lock session.lock (fun () ->
@@ -529,6 +527,21 @@ let record_update t (upd : Chase.update) =
     retracted_facts_metric
     (float_of_int upd.Chase.upd_retracted)
 
+(* ground atoms hashed consistently with [Atom.equal], which compares
+   values with [Value.equal] ([1] and [1.0] are one fact) *)
+module AtomTbl = Hashtbl.Make (struct
+  type t = Atom.t
+
+  let equal = Atom.equal
+
+  let hash (a : Atom.t) =
+    List.fold_left
+      (fun h (term : Term.t) ->
+        (h * 31)
+        + match term with Term.Cst v -> Ekg_kernel.Value.hash v | Term.Var x -> Hashtbl.hash x)
+      (Hashtbl.hash a.Atom.pred) a.Atom.args
+end)
+
 (* update the dormant EDB mirror only — nothing is materialized yet, so
    there is nothing to maintain; the next materialization sees the new
    base.  Validation mirrors the engine's: ground additions, known
@@ -555,39 +568,37 @@ let update_edb_only (session : session) op atoms =
         upd_changed_preds = changed;
       }
     in
+    (* the request's distinct atoms, first occurrence first, then one
+       hashed pass over the mirror marks those it already holds *)
+    let batch = AtomTbl.create (List.length atoms) in
+    let distinct =
+      List.filter
+        (fun a ->
+          if AtomTbl.mem batch a then false
+          else begin
+            AtomTbl.add batch a false;
+            true
+          end)
+        atoms
+    in
+    List.iter
+      (fun e -> if AtomTbl.mem batch e then AtomTbl.replace batch e true)
+      session.edb;
+    let in_edb a = AtomTbl.find batch a in
     match op with
     | `Add ->
-      (* dedupe against the mirror and within the request itself — a
-         repeated atom must not enter the base twice *)
-      let fresh =
-        List.rev
-          (List.fold_left
-             (fun acc a ->
-               if
-                 List.exists (Atom.equal a) session.edb
-                 || List.exists (Atom.equal a) acc
-               then acc
-               else a :: acc)
-             [] atoms)
-      in
+      let fresh = List.filter (fun a -> not (in_edb a)) distinct in
       session.edb <- session.edb @ fresh;
       Ok (upd ~added:(List.length fresh) ~retracted:0)
     | `Retract -> (
-      match
-        List.find_opt
-          (fun a -> not (List.exists (Atom.equal a) session.edb))
-          atoms
-      with
+      match List.find_opt (fun a -> not (in_edb a)) distinct with
       | Some missing ->
         Error
           (Chase.Unknown_fact
              ("fact not in the extensional database: " ^ Atom.to_string missing))
       | None ->
         let before = List.length session.edb in
-        session.edb <-
-          List.filter
-            (fun e -> not (List.exists (Atom.equal e) atoms))
-            session.edb;
+        session.edb <- List.filter (fun e -> not (AtomTbl.mem batch e)) session.edb;
         Ok (upd ~added:0 ~retracted:(before - List.length session.edb))))
 
 let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
@@ -632,9 +643,7 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
       | Ok upd ->
         session.update_gen <- session.update_gen + 1;
         invalidate_cache_locked session upd.Chase.upd_changed_preds;
-        let dropped =
-          invalidate_queries_locked session upd.Chase.upd_changed_preds
-        in
+        let dropped = invalidate_queries_locked session in
         if dropped > 0 then
           Ekg_obs.Metrics.add t.obs
             ~help:"Cached query answers dropped by fact updates"
@@ -659,10 +668,12 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
 
    Point queries never touch the served materialization: the program is
    magic-sets-specialized per query shape (cached in an LRU keyed
-   predicate + mask), a private scoped chase runs over a snapshot of
-   the EDB mirror, and concrete answers are cached generation-stamped.
-   A dormant session stays dormant — in particular a query never
-   triggers (or waits on) a cold full materialization. *)
+   predicate + mask), a private scoped chase runs over an overlay of
+   the session's query base, and concrete answers are cached until the
+   next commit.  The base is the EDB mirror loaded into a frozen store,
+   built by the first query of each update generation and shared by
+   every later one.  A dormant session stays dormant — in particular a
+   query never triggers (or waits on) a cold full materialization. *)
 
 let max_query_shapes = 64
 let max_answers_per_shape = 8
@@ -698,6 +709,30 @@ let note_query_event (result : Pipeline.query_result) ~cache_hit =
   Ekg_obs.Log.Ctx.put "chase_facts"
     (Ekg_obs.Log.Int result.Pipeline.q_derived)
 
+(* The session's query base for this request: the one published at the
+   request's generation, or a fresh one built here, off the session
+   lock, from the mirror snapshot [edb].  A fresh base is published
+   together with the answers, in the one critical section that follows
+   the chase: a second lock round trip would queue the query behind a
+   commit a second time. *)
+let resolve_base t ~published edb =
+  match published with
+  | Some base ->
+    Ekg_obs.Log.Ctx.put "query_base" (Ekg_obs.Log.Str "shared");
+    Ok base
+  | None ->
+    let t0 = Ekg_obs.Clock.now_s () in
+    Result.map
+      (fun base ->
+        Ekg_obs.Metrics.incr t.obs
+          ~help:"Query bases built from a session's EDB (one per update generation)"
+          query_base_builds_metric;
+        Ekg_obs.Log.Ctx.put "query_base" (Ekg_obs.Log.Str "built");
+        Ekg_obs.Log.Ctx.put "base_ms"
+          (Ekg_obs.Log.Float ((Ekg_obs.Clock.now_s () -. t0) *. 1000.));
+        base)
+      (Pipeline.edb_base edb)
+
 let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
     (atom : Atom.t) =
   let pred = atom.Atom.pred in
@@ -718,33 +753,30 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
         session.last_used <- now;
         session.query_count <- session.query_count + 1;
         let gen = session.update_gen in
-        let edb = session.edb in
+        let run spec rewrite_cached =
+          let published =
+            match session.query_base with
+            | Some (g, b) when g = gen -> Some b
+            | _ -> None
+          in
+          `Run (spec, rewrite_cached, gen, published, session.edb)
+        in
         match Hashtbl.find_opt session.query_cache shape_key with
         | Some entry -> (
           entry.qe_used <- now;
-          (* a stale-generation answer must never serve: drop on sight *)
-          (match Hashtbl.find_opt entry.qe_answers answer_key with
-          | Some c when c.ca_gen <> gen ->
-            Hashtbl.remove entry.qe_answers answer_key
-          | _ -> ());
           match Hashtbl.find_opt entry.qe_answers answer_key with
           | Some c ->
             c.ca_used <- now;
             `Hit c.ca_result
-          | None -> `Run (entry.qe_spec, true, gen, edb))
+          | None -> run entry.qe_spec true)
         | None -> (
           match Pipeline.specialize session.pipeline ~pred ~mask with
           | Error e -> `Unknown e
           | Ok spec ->
             Hashtbl.replace session.query_cache shape_key
-              {
-                qe_pred = pred;
-                qe_spec = spec;
-                qe_used = now;
-                qe_answers = Hashtbl.create 4;
-              };
+              { qe_spec = spec; qe_used = now; qe_answers = Hashtbl.create 4 };
             lru_trim session.query_cache max_query_shapes (fun e -> e.qe_used);
-            `Run (spec, false, gen, edb)))
+            run spec false))
   in
   match prelim with
   | `Unknown e -> Error (`Unknown_pred e)
@@ -756,7 +788,7 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
     note_query_event result ~cache_hit:true;
     finish ();
     Ok { qo_result = result; qo_rewrite_cached = true; qo_answer_cached = true }
-  | `Run (spec, rewrite_cached, gen, edb) -> (
+  | `Run (spec, rewrite_cached, gen, published, edb) -> (
     count
       (if rewrite_cached then query_rewrite_hits_metric
        else query_rewrite_misses_metric)
@@ -771,28 +803,34 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
       | _ -> Ok ()
     in
     let outcome =
-      match injected with
-      | Error e -> Error e
-      | Ok () ->
-        Pipeline.query ~stats:t.obs ~budget ?obs:tracer
-          ?parent session.pipeline spec edb atom
+      Result.bind injected (fun () ->
+          Result.bind (resolve_base t ~published edb) (fun base ->
+              Result.map
+                (fun result -> (base, result))
+                (Pipeline.query_base ~stats:t.obs ~budget ?obs:tracer ?parent
+                   session.pipeline spec base atom)))
     in
     match outcome with
     | Error err ->
       finish ();
       Error (`Chase err)
-    | Ok result ->
+    | Ok (base, result) ->
       with_lock session.lock (fun () ->
           (* a fact update committed while the chase ran: its
              invalidation already happened, so storing now would serve
-             a stale generation — drop instead *)
-          if session.update_gen = gen then
+             a stale generation — drop instead.  A fresh base is
+             published unless a racing query published one first: one
+             per generation. *)
+          if session.update_gen = gen then begin
+            if Option.is_none session.query_base then
+              session.query_base <- Some (gen, base);
             match Hashtbl.find_opt session.query_cache shape_key with
             | Some entry ->
               Hashtbl.replace entry.qe_answers answer_key
-                { ca_result = result; ca_gen = gen; ca_used = Unix.gettimeofday () };
+                { ca_result = result; ca_used = Unix.gettimeofday () };
               lru_trim entry.qe_answers max_answers_per_shape (fun c -> c.ca_used)
-            | None -> ());
+            | None -> ()
+          end);
       note_query_event result ~cache_hit:false;
       finish ();
       Ok
@@ -905,7 +943,8 @@ let session_json (session : session) =
         update_gen,
         last_used,
         queried,
-        cached_queries ) =
+        cached_queries,
+        query_base ) =
     with_lock session.lock (fun () ->
         ( Option.is_some session.chase,
           session.explain_count,
@@ -917,7 +956,8 @@ let session_json (session : session) =
           session.query_count,
           Hashtbl.fold
             (fun _ (e : query_entry) n -> n + Hashtbl.length e.qe_answers)
-            session.query_cache 0 ))
+            session.query_cache 0,
+          session.query_base ))
   in
   Json.Obj
     [
@@ -939,6 +979,12 @@ let session_json (session : session) =
       "explain_requests", Json.int explained;
       "cached_queries", Json.int cached_queries;
       "query_requests", Json.int queried;
+      ( "query_base",
+        match query_base with
+        | None -> Json.Null
+        | Some (gen, base) ->
+          Json.Obj
+            [ "update_gen", Json.int gen; "facts", Json.int (Database.size base) ] );
       "traced", Json.bool traced;
       "created_at", Json.num session.created_at;
       "last_used_unix_s", Json.num last_used;

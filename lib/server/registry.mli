@@ -20,16 +20,13 @@ type cached_explanation = {
 
 type cached_answers = {
   ca_result : Pipeline.query_result;
-  ca_gen : int;    (** update generation the result was computed under *)
   mutable ca_used : float;  (** answer-LRU clock *)
 }
-(** One concrete query's cached result.  Generation-stamped: an entry
-    whose [ca_gen] no longer matches the session's [update_gen] must
-    never serve, and is dropped eagerly by invalidation or lazily at
-    lookup. *)
+(** One concrete query's cached result.  Every entry was computed at
+    the session's current [update_gen]: a result that finishes after a
+    commit is not stored, and every commit drops all entries. *)
 
 type query_entry = {
-  qe_pred : string;  (** queried predicate — the invalidation key *)
   qe_spec : Pipeline.specialization;
   mutable qe_used : float;  (** shape-LRU clock *)
   qe_answers : (string, cached_answers) Hashtbl.t;
@@ -73,8 +70,13 @@ type session = {
           entries survive fact updates that cannot affect them *)
   query_cache : (string, query_entry) Hashtbl.t;
       (** the query lane's per-session LRU, keyed [pred ^ "/" ^ mask];
-          specializations survive fact updates, cached answers are
-          invalidated predicate-selectively *)
+          specializations survive fact updates, cached answers do not *)
+  mutable query_base : (int * Database.t) option;
+      (** the query lane's base at an update generation: [edb] loaded
+          into a frozen store ({!Pipeline.edb_base}) that every
+          uncached query of that generation chases an overlay of.
+          Built by the first such query, never at session creation;
+          dropped by every commit. *)
   mutable update_gen : int;
       (** bumped by every committed fact update; {!cache_explanations}
           refuses to store a result computed under an older generation,
@@ -120,6 +122,11 @@ val query_answer_misses_metric : string
 val query_invalidations_metric : string
 (** ["ekg_query_cache_invalidations_total"] — cached query answers
     dropped by fact updates. *)
+
+val query_base_builds_metric : string
+(** ["ekg_query_base_builds_total"] — query bases built from a
+    session's EDB; at most one per session and update generation,
+    barring racing first queries. *)
 
 val query_seconds_metric : string
 (** ["ekg_query_seconds_total"] — seconds spent answering point
@@ -255,9 +262,11 @@ val update_facts :
     immutable snapshot throughout; without one only the dormant EDB
     mirror changes and the next materialization picks up the new base
     (added atoms are deduplicated against the mirror and within the
-    request).  Cached explanations whose predicates intersect the
-    update's [upd_changed_preds] are invalidated; the rest survive, as
-    do the session's compiled templates.
+    request, in one hashed pass over the mirror).  Cached explanations
+    whose predicates intersect the update's [upd_changed_preds] are
+    invalidated; the rest survive, as do the session's compiled
+    templates.  Every cached query answer and the query base are
+    dropped: they belong to the superseded generation.
 
     {e Every} error leaves the session exactly as it was — the served
     materialization, the EDB mirror and the explanation cache all
@@ -316,9 +325,13 @@ val query :
     [GET|POST /v1/sessions/:id/query] handler.  The session's program
     is magic-sets-specialized for the query's bound/free shape
     ({!Pipeline.specialize}, cached in a per-session LRU), a private
-    scoped chase runs over a snapshot of the EDB mirror, and the
-    concrete answer set is cached stamped with the session's update
-    generation.  The served materialization is never consulted and
+    scoped chase runs over an overlay of the session's query base
+    ({!Pipeline.query_base}), and the concrete answer set is cached
+    until the next commit.  The first uncached query of an update
+    generation builds the base from the EDB mirror, off the session
+    lock, and publishes it with its answers, in the one critical
+    section after the chase, unless a commit intervened; later
+    queries share it.  The served materialization is never consulted and
     never created: a dormant session stays dormant, so a point query
     neither triggers nor waits on a cold full materialization.
 
@@ -327,9 +340,10 @@ val query :
     partial progress); the {!Fault.Slow_chase} fault applies here too.
     [`Unknown_pred] means the predicate does not exist in the session's
     program — a client error.  Contributes [chase_source]
-    (["magic"]/["full"]/["edb"]), [cache_hit], [chase_rounds] and
-    [chase_facts] to the request's wide event and advances the
-    [ekg_query_*] series. *)
+    (["magic"]/["full"]/["edb"]), [cache_hit], [chase_rounds],
+    [chase_facts], [query_base] (["built"] or ["shared"]; not set on an
+    answer-cache hit) and [base_ms] (the build's milliseconds) to the
+    request's wide event and advances the [ekg_query_*] series. *)
 
 val note_explain : session -> unit
 (** Bump the session's explanation-request counter. *)
@@ -342,5 +356,6 @@ val last_trace : session -> Ekg_obs.Trace.span option
 
 val session_json : session -> Json.t
 (** Summary document: id, name, goal, rule/fact counts, cache state,
-    tier (hot/dormant), update generation, LRU clock — also the
-    per-session record of [GET /v1/debug/sessions]. *)
+    tier (hot/dormant), update generation, the query base's generation
+    and fact count ([null] until a query builds it), LRU clock — also
+    the per-session record of [GET /v1/debug/sessions]. *)

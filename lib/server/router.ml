@@ -110,6 +110,8 @@ let make_state ?root ?(fault = Fault.Off)
         "Point queries that ran a scoped chase (answer cache miss)" );
       ( Registry.query_invalidations_metric,
         "Cached query answers dropped by fact updates" );
+      ( Registry.query_base_builds_metric,
+        "Query bases built from a session's EDB (one per update generation)" );
       ( Registry.query_seconds_metric,
         "Seconds spent answering point queries" );
     ];
@@ -1129,6 +1131,8 @@ let wide_defaults =
     "chase_rounds", Ekg_obs.Log.Int 0;
     "chase_facts", Ekg_obs.Log.Int 0;
     "plan_reorders", Ekg_obs.Log.Int 0;
+    "query_base", Ekg_obs.Log.Str "none";
+    "base_ms", Ekg_obs.Log.Float 0.;
     "snapshot_scheduled", Ekg_obs.Log.Bool false;
     "shed", Ekg_obs.Log.Bool false;
   ]

@@ -693,9 +693,199 @@ let prop_random_programs_explain_completely =
                 && Ekg_llm.Omission.retained_ratio ~constants e.deterministic_text = 1.0)
             goals))
 
+(* --- the query lane over a shared base ------------------------------------------ *)
+
+(* Company control plus two rules off its magic path: [s4]'s
+   existential head puts every [rel] query on the full mode, and [s5]
+   derives into [listed], which the EDB also holds, so that full chase
+   writes into a column group the base owns. *)
+let query_lane_program =
+  {|
+s1: own(X, Y, S), S > 0.5 -> control(X, Y).
+s2: company(X) -> control(X, X).
+s3: control(X, Z), own(Z, Y, S), TS = sum(S), TS > 0.5 -> control(X, Y).
+s4: control(X, Y) -> rel(Y, Z).
+s5: control(X, Y), listed(Y) -> listed(X).
+@goal(control).
+|}
+
+let query_lane_pipeline =
+  lazy
+    (Pipeline.build (parse_exn query_lane_program).program
+       Ekg_apps.Company_control.glossary)
+
+(* random own/company/listed EDBs over companies c0..c5 *)
+let ownership_edb_gen =
+  let open QCheck2.Gen in
+  let company = map (Printf.sprintf "c%d") (int_range 0 5) in
+  triple
+    (list_size (int_range 0 4) company)
+    (list_size (int_range 1 14)
+       (triple company company (oneofl [ 0.2; 0.3; 0.4; 0.6 ])))
+    (list_size (int_range 0 2) company)
+
+let ownership_edb (companies, edges, listed) =
+  List.map Ekg_apps.Company_control.company companies
+  @ List.map (fun (x, y, w) -> Ekg_apps.Company_control.own x y w) edges
+  @ List.map (fun x -> Atom.make "listed" [ Term.str x ]) listed
+
+(* every pred/mask combination the property asks, with the mode it
+   must take *)
+let lane_queries =
+  let c = Term.str and v = Term.var in
+  let a = "c0" and b = "c1" in
+  List.map
+    (fun (mode, pred, args) -> (mode, Atom.make pred args))
+    [
+      `Magic, "control", [ c a; v "X" ];
+      `Magic, "control", [ v "X"; c b ];
+      `Magic, "control", [ c a; c b ];
+      `Edb, "own", [ c a; v "X"; v "S" ];
+      `Edb, "own", [ v "X"; c b; v "S" ];
+      `Edb, "own", [ c a; c b; v "S" ];
+      `Full, "rel", [ c a; v "Z" ];
+      `Full, "rel", [ v "X"; c b ];
+    ]
+
+let lane_answers (qr : Pipeline.query_result) =
+  List.map (fun qa -> Ekg_engine.Fact.to_string qa.Pipeline.qa_fact) qr.q_answers
+
+let lane_texts pipeline (qr : Pipeline.query_result) =
+  List.map
+    (fun qa ->
+      match Pipeline.explain_answer pipeline qr qa with
+      | Ok e -> e.text
+      | Error e -> "error: " ^ e)
+    qr.q_answers
+
+(* The lane as it ran before the shared base: a chase over the whole
+   atom list plus the demand seeds, answers read and sorted the same
+   way — the reference the overlay path's explanations must equal.
+   [None] for an extensional query, which has nothing to explain. *)
+let atom_list_reference pipeline spec edb (q : Atom.t) =
+  let open Ekg_engine in
+  let result ~mode ~sp (res : Chase.result) goal project =
+    let answers =
+      Query.ask res.db goal
+      |> List.map (fun (f, binding) ->
+             { Pipeline.qa_fact = project f; qa_internal = f; qa_binding = binding })
+      |> List.sort (fun x y ->
+             String.compare
+               (Fact.to_string x.Pipeline.qa_fact)
+               (Fact.to_string y.Pipeline.qa_fact))
+    in
+    {
+      Pipeline.q_answers = answers;
+      q_mode = mode;
+      q_fallback = None;
+      q_scoped = Some res;
+      q_sp = sp;
+      q_rounds = res.rounds;
+      q_derived = res.derived_count;
+    }
+  in
+  let chase program edb =
+    match Chase.run_checked program edb with
+    | Ok res -> res
+    | Error e -> failwith (Chase.error_to_string e)
+  in
+  match spec with
+  | Pipeline.Sp_magic sp ->
+    Some
+      (result ~mode:`Magic ~sp:(Some sp)
+         (chase sp.Magic.sp_program (edb @ Magic.seeds sp q))
+         (Magic.goal_atom sp q) (Magic.original_fact sp))
+  | Pipeline.Sp_full _ ->
+    Some (result ~mode:`Full ~sp:None (chase pipeline.Pipeline.program edb) q Fun.id)
+  | Pipeline.Sp_edb -> None
+
+(* the base's encoding (its facts, ids and activation) plus its
+   column-group row counts, which the encoding does not cover *)
+let base_digest base =
+  let b = Buffer.create 256 in
+  Ekg_engine.Database.encode b base;
+  ( Digest.string (Buffer.contents b),
+    List.map (Ekg_engine.Database.pred_card base) [ "own"; "company"; "listed" ] )
+
+let prop_query_base_equals_cold_chase =
+  QCheck2.Test.make
+    ~name:"query over a shared base = cold full chase (magic/full/edb modes)"
+    ~count:60 ownership_edb_gen
+    (fun raw ->
+      let pipeline = Lazy.force query_lane_pipeline in
+      let edb = ownership_edb raw in
+      let base_of () =
+        match Pipeline.edb_base edb with
+        | Ok b -> b
+        | Error e -> QCheck2.Test.fail_reportf "base: %s" (Ekg_engine.Chase.error_to_string e)
+      in
+      let full =
+        match Ekg_engine.Chase.run_checked pipeline.program edb with
+        | Ok r -> r
+        | Error e -> QCheck2.Test.fail_reportf "full: %s" (Ekg_engine.Chase.error_to_string e)
+      in
+      let spec_of (q : Atom.t) =
+        match
+          Pipeline.specialize pipeline ~pred:q.pred ~mask:(Ekg_engine.Magic.adornment q)
+        with
+        | Ok s -> s
+        | Error e -> QCheck2.Test.fail_reportf "specialize: %s" e
+      in
+      let ask base q =
+        match Pipeline.query_base pipeline (spec_of q) base q with
+        | Ok r -> r
+        | Error e ->
+          QCheck2.Test.fail_reportf "query %s: %s" (Atom.to_string q)
+            (Ekg_engine.Chase.error_to_string e)
+      in
+      let base = base_of () in
+      let digest = base_digest base in
+      List.iter
+        (fun (mode, q) ->
+          let qr = ask base q in
+          let cold =
+            Ekg_engine.Query.ask full.db q
+            |> List.map (fun (f, _) -> Ekg_engine.Fact.to_string f)
+            |> List.sort String.compare
+          in
+          if qr.q_mode <> mode then
+            QCheck2.Test.fail_reportf "%s took the wrong mode" (Atom.to_string q);
+          if lane_answers qr <> cold then
+            QCheck2.Test.fail_reportf "%s: overlay answers [%s], cold chase [%s]"
+              (Atom.to_string q)
+              (String.concat "; " (lane_answers qr))
+              (String.concat "; " cold);
+          let texts = lane_texts pipeline qr in
+          let expected =
+            match atom_list_reference pipeline (spec_of q) edb q with
+            | Some reference -> lane_texts pipeline reference
+            | None ->
+              List.map
+                (fun qa ->
+                  "error: " ^ Ekg_engine.Fact.to_string qa.Pipeline.qa_fact
+                  ^ " is an extensional fact: nothing to explain")
+                qr.q_answers
+          in
+          if texts <> expected then
+            QCheck2.Test.fail_reportf "%s: explanations differ from the atom-list path"
+              (Atom.to_string q))
+        lane_queries;
+      if base_digest base <> digest then
+        QCheck2.Test.fail_reportf "the queries wrote into the base";
+      (* two domains race on a fresh base, index builds included *)
+      let shared = base_of () in
+      let run () = List.map (fun (_, q) -> lane_answers (ask shared q)) lane_queries in
+      let d1 = Domain.spawn run and d2 = Domain.spawn run in
+      let a1 = Domain.join d1 and a2 = Domain.join d2 in
+      a1 = a2 && a1 = List.map (fun (_, q) -> lane_answers (ask base q)) lane_queries)
+
 let core_qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_analysis_invariants; prop_random_programs_explain_completely ]
+    [
+      prop_analysis_invariants;
+      prop_random_programs_explain_completely;
+      prop_query_base_equals_cold_chase;
+    ]
 
 (* --- termination analysis --------------------------------------------------------------- *)
 

@@ -64,6 +64,101 @@ let test_database_matching () =
   let bound = Subst.bind Subst.empty "Y" (Value.str "b") in
   check int' "one match under binding" 1 (List.length (Database.matching db pattern bound))
 
+(* --- frozen bases and overlays ------------------------------------------------ *)
+
+let added = function `Added (f : Fact.t) -> f.id | `Existing (f : Fact.t) -> -1 - f.id
+
+let encoded db =
+  let b = Buffer.create 256 in
+  Database.encode b db;
+  Buffer.contents b
+
+let raises_invalid f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_database_overlay () =
+  let base = Database.create () in
+  ignore (Database.add base "e" [| Value.str "a"; Value.str "b" |]);
+  ignore (Database.add base "e" [| Value.str "b"; Value.str "c" |]);
+  check bool' "an unfrozen base cannot be overlaid" true
+    (raises_invalid (fun () -> Database.overlay base));
+  Database.freeze base;
+  let before = encoded base in
+  check bool' "frozen: add rejected" true
+    (raises_invalid (fun () -> Database.add base "e" [| Value.str "x"; Value.str "y" |]));
+  check bool' "frozen: deactivate rejected" true
+    (raises_invalid (fun () -> Database.deactivate base 0));
+  check bool' "frozen: fresh null rejected" true
+    (raises_invalid (fun () -> Database.fresh_null base));
+  let ov = Database.overlay base in
+  (* ids and value ids continue from the base's *)
+  check int' "new fact takes the next id" 2
+    (added (Database.add ov "e" [| Value.str "c"; Value.str "d" |]));
+  check int' "a base tuple is existing, under its base id" (-1)
+    (added (Database.add ov "e" [| Value.str "a"; Value.str "b" |]));
+  check int' "new predicate continues the ids" 3
+    (added (Database.add ov "m" [| Value.str "a" |]));
+  check bool' "new value interned past the base's" true
+    (Database.value_id ov (Value.str "d") > Database.value_id ov (Value.str "c")
+    && Database.value_id base (Value.str "d") = -1);
+  check string' "interned values resolve through" "\"a\""
+    (Value.to_string (Database.value_of_id ov (Database.value_id base (Value.str "a"))));
+  (* reads merge the base's rows with the overlay's private copy *)
+  let e_xy = Atom.make "e" [ Term.var "X"; Term.var "Y" ] in
+  check (Alcotest.list int') "overlay matches base and own rows, by id" [ 0; 1; 2 ]
+    (List.map (fun ((f : Fact.t), _) -> f.id) (Database.matching ov e_xy Subst.empty));
+  check int' "the base still holds two" 2
+    (List.length (Database.matching base e_xy Subst.empty));
+  check int' "and its column group two rows" 2 (Database.pred_card base "e");
+  check int' "pred_card resolves through" 3 (Database.pred_card ov "e");
+  check bool' "find_exact on a base fact" true
+    (Database.find_exact ov "e" [| Value.str "b"; Value.str "c" |] <> None);
+  (* activation changes to base facts stay private *)
+  Database.deactivate ov 0;
+  check bool' "deactivated in the overlay" false (Database.is_active ov 0);
+  check bool' "still active in the base" true (Database.is_active base 0);
+  check int' "overlay active size" 3 (Database.active_size ov);
+  check bool' "base all active" true (Database.all_active base);
+  Database.reactivate ov 0;
+  check bool' "reactivated" true (Database.is_active ov 0 && Database.all_active ov);
+  (* copies share the base but not the overlay's own state *)
+  let cp = Database.copy ov in
+  ignore (Database.add cp "m" [| Value.str "z" |]);
+  check int' "copy grew" 5 (Database.size cp);
+  check int' "overlay did not" 4 (Database.size ov);
+  (* the overlay encodes as the whole store: decoding gives a flat
+     store holding the same facts under the same ids *)
+  let flat = Database.decode (Wire.reader (encoded ov)) in
+  check string' "decoded fingerprint" (Database.fingerprint ov) (Database.fingerprint flat);
+  check int' "decoded size" (Database.size ov) (Database.size flat);
+  check bool' "the base is byte-identical" true (encoded base = before)
+
+let test_database_shared_index () =
+  let fill () =
+    let base = Database.create () in
+    for i = 0 to 99 do
+      ignore (Database.add base "e" [| Value.int i; Value.int (i + 1) |])
+    done;
+    Database.freeze base;
+    (base, Option.get (Database.pred_sym base "e"))
+  in
+  let base, sym = fill () in
+  let ov1 = Database.overlay base and ov2 = Database.overlay base in
+  check int' "first overlay builds the index" 100
+    (Database.ensure_index ov1 ~sym ~arity:2 ~mask:1);
+  check int' "second overlay shares it" 0
+    (Database.ensure_index ov2 ~sym ~arity:2 ~mask:1);
+  check bool' "and can probe it" true
+    (Database.index_handle (Option.get (Database.Cols.find ov2 ~sym ~arity:2)) ~mask:1
+    <> None);
+  (* racing domains: exactly one of them builds *)
+  let base, sym = fill () in
+  let build () = Database.ensure_index (Database.overlay base) ~sym ~arity:2 ~mask:2 in
+  let d1 = Domain.spawn build and d2 = Domain.spawn build in
+  check int' "built once across domains" 100 (Domain.join d1 + Domain.join d2)
+
 (* --- columnar storage and hash indexes -------------------------------------- *)
 
 let test_database_columnar_layout () =
@@ -2282,6 +2377,9 @@ let () =
             test_database_index_probe;
           Alcotest.test_case "all-active fast path" `Quick
             test_database_all_active;
+          Alcotest.test_case "overlay of a frozen base" `Quick test_database_overlay;
+          Alcotest.test_case "shared index on a frozen group" `Quick
+            test_database_shared_index;
         ] );
       ( "chase",
         [

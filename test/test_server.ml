@@ -982,17 +982,37 @@ let test_registry_failed_update_keeps_snapshot () =
       (Ekg_engine.Database.fingerprint r.Ekg_engine.Chase.db)
 
 let test_registry_duplicate_add_deduped () =
-  (* a request repeating an atom adds it to the dormant mirror once *)
+  (* the dormant mirror's hashed dedupe keeps the list semantics: a
+     repeat inside one request and an atom already in the EDB add
+     nothing, and a retract naming a missing fact changes nothing *)
   let reg = Registry.create (Metrics.create ()) in
   let session = registry_inline_session reg closure_program in
-  let dup = parse_atom_exn {|e("c", "d")|} in
-  (match Registry.update_facts reg session `Add [ dup; dup ] with
-  | Ok upd -> check int' "repeated atom counted once" 1 upd.Ekg_engine.Chase.upd_added
-  | Error e -> Alcotest.failf "add: %s" (Ekg_engine.Chase.error_to_string e));
-  check int' "mirror holds it once" 3 (List.length session.Registry.edb);
-  match Registry.update_facts reg session `Add [ dup ] with
-  | Ok upd -> check int' "re-adding is a no-op" 0 upd.Ekg_engine.Chase.upd_added
-  | Error e -> Alcotest.failf "re-add: %s" (Ekg_engine.Chase.error_to_string e)
+  let cd = parse_atom_exn {|e("c", "d")|} and ab = parse_atom_exn {|e("a", "b")|} in
+  let mirror () = List.map Ekg_datalog.Atom.to_string session.Registry.edb in
+  let update op atoms =
+    match Registry.update_facts reg session op atoms with
+    | Ok upd -> upd
+    | Error e -> Alcotest.failf "update: %s" (Ekg_engine.Chase.error_to_string e)
+  in
+  let upd = update `Add [ cd; ab; cd ] in
+  check int' "repeat and existing atom add one fact" 1 upd.Ekg_engine.Chase.upd_added;
+  check (Alcotest.list string') "mirror order kept, no duplicates"
+    [ {|e("a", "b")|}; {|e("b", "c")|}; {|e("c", "d")|} ]
+    (mirror ());
+  check int' "re-adding is a no-op" 0 (update `Add [ cd ]).Ekg_engine.Chase.upd_added;
+  let gen = session.Registry.update_gen in
+  (match Registry.update_facts reg session `Retract [ ab; parse_atom_exn {|e("x", "y")|} ] with
+  | Error (Ekg_engine.Chase.Unknown_fact msg) ->
+    check bool' "names the missing fact" true (contains msg {|e("x", "y")|})
+  | Error e -> Alcotest.failf "wrong error: %s" (Ekg_engine.Chase.error_to_string e)
+  | Ok _ -> Alcotest.fail "retracting a missing fact succeeded");
+  check int' "failed retract left the mirror" 3 (List.length (mirror ()));
+  check int' "and the generation" gen session.Registry.update_gen;
+  let upd = update `Retract [ ab; ab ] in
+  check int' "repeated retract removes once" 1 upd.Ekg_engine.Chase.upd_retracted;
+  check (Alcotest.list string') "mirror after retract"
+    [ {|e("b", "c")|}; {|e("c", "d")|} ]
+    (mirror ())
 
 let test_registry_stale_generation_not_cached () =
   (* an explanation computed before an update committed must not be
@@ -1313,7 +1333,7 @@ let wide_event_keys =
     "ts"; "level"; "event"; "duration_ms"; "trace_id"; "method"; "target";
     "endpoint"; "status"; "error_code"; "queue_wait_ms"; "session";
     "cache_hit"; "degraded"; "chase_source"; "chase_rounds"; "chase_facts";
-    "plan_reorders"; "snapshot_scheduled"; "shed";
+    "plan_reorders"; "query_base"; "base_ms"; "snapshot_scheduled"; "shed";
     "gc_minor_collections";
     "gc_major_collections"; "gc_promoted_words"; "gc_minor_words";
   ]
@@ -1565,6 +1585,63 @@ let test_query_cache_semantics () =
     (advanced "ekg_query_answer_cache_hits_total");
   check bool' "invalidations counted" true
     (advanced "ekg_query_cache_invalidations_total")
+
+let test_query_base_lifecycle () =
+  (* one base per update generation: built by the generation's first
+     uncached query, shared by the next, dropped with every cached
+     answer by a commit, and visible in the wide event,
+     /v1/debug/sessions and /metrics *)
+  let st, lines = capturing_state () in
+  create_closure_session st;
+  let session_doc () =
+    match Json.member "sessions" (json_of (Router.handle st (request Http.GET [ "v1"; "debug"; "sessions" ]))) with
+    | Some (Json.Arr [ s ]) -> s
+    | _ -> Alcotest.fail "sessions array missing"
+  in
+  check bool' "no base at session creation" true
+    (Json.member "query_base" (session_doc ()) = None);
+  let ask q = check int' ("query " ^ q) 200 (query_get st "s1" [ "query", q ]).Http.status in
+  ask {|path("a", X)|};
+  ask {|path("b", X)|};
+  let base = Json.member "query_base" (session_doc ()) in
+  check bool' "debug sessions reports the base's generation" true
+    (Option.bind base (Json.mem_int "update_gen") = Some 0);
+  check bool' "and its fact count" true (Option.bind base (Json.mem_int "facts") = Some 2);
+  check bool' "two answers cached" true (Json.mem_int "cached_queries" (session_doc ()) = Some 2);
+  let added =
+    Router.handle st
+      (request ~body:{|{"facts":["e(\"c\", \"d\")"]}|} Http.POST
+         [ "v1"; "sessions"; "s1"; "facts" ])
+  in
+  check int' "edge added" 200 added.Http.status;
+  let doc = session_doc () in
+  check bool' "the commit dropped every cached answer" true
+    (Json.mem_int "cached_queries" doc = Some 0);
+  check bool' "and the base" true (Json.member "query_base" doc = None);
+  ask {|path("a", X)|};
+  let prom =
+    Router.handle st
+      (request ~query:[ "format", "prometheus" ] Http.GET [ "v1"; "metrics" ])
+  in
+  check bool' "two base builds counted" true
+    (contains prom.Http.resp_body "ekg_query_base_builds_total 2\n");
+  check bool' "both cached answers counted as invalidated" true
+    (contains prom.Http.resp_body "ekg_query_cache_invalidations_total 2\n");
+  let events =
+    List.filter_map
+      (fun l ->
+        match Json.parse l with
+        | Ok j when Json.mem_str "endpoint" j = Some "GET /v1/sessions/:id/query" ->
+          Some (Json.mem_str "query_base" j, Json.member "base_ms" j)
+        | _ -> None)
+      (lines ())
+  in
+  let built_ms = function Some (Json.Num ms) -> ms > 0. | _ -> false in
+  match events with
+  | [ (Some "built", b1); (Some "shared", s); (Some "built", b2) ] ->
+    check bool' "builds report their milliseconds" true (built_ms b1 && built_ms b2);
+    check bool' "a shared base costs none" true (s = Some (Json.Num 0.))
+  | _ -> Alcotest.failf "unexpected query_base sequence (%d query events)" (List.length events)
 
 let test_query_dormant_stays_dormant () =
   (* the whole point of the lane: a point query against a session whose
@@ -2223,6 +2300,7 @@ let () =
           Alcotest.test_case "pagination" `Quick test_query_pagination;
           Alcotest.test_case "invalid atoms" `Quick test_query_invalid_atoms;
           Alcotest.test_case "cache semantics" `Quick test_query_cache_semantics;
+          Alcotest.test_case "base per generation" `Quick test_query_base_lifecycle;
           Alcotest.test_case "dormant stays dormant" `Quick
             test_query_dormant_stays_dormant;
           Alcotest.test_case "explain modes" `Quick test_query_explain_modes;
