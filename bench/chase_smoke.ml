@@ -383,7 +383,11 @@ let persistence_bench dir =
           program_hash = Ekg_core.Pipeline.identity pipeline;
           update_gen = 0;
           created_at = Unix.gettimeofday ();
-          edb;
+          edb =
+            (match Ekg_core.Pipeline.edb_base edb with
+            | Ok base -> base
+            | Error e ->
+              failwith ("chase-smoke: " ^ Ekg_engine.Chase.error_to_string e));
           mat = Some cold;
         }
       in

@@ -51,11 +51,11 @@ let reason ?stats ?budget ?obs ?parent t edb =
 
 let incrementable t = Chase.incrementable t.program
 
-let add_facts ?budget t result atoms =
-  Chase.add_facts ?budget t.program result atoms
+let add_facts ?budget ?edb t result atoms =
+  Chase.add_facts ?budget ?edb t.program result atoms
 
-let retract_facts ?budget t result atoms =
-  Chase.retract_facts ?budget t.program result atoms
+let retract_facts ?budget ?edb t result atoms =
+  Chase.retract_facts ?budget ?edb t.program result atoms
 
 let extractor = function
   | `Primary -> Proof.of_fact
@@ -241,10 +241,13 @@ let query_base ?stats ?budget ?obs ?parent t spec base (atom : Atom.t) =
       }
   | Sp_full reason -> scoped_full reason
   | Sp_magic sp -> (
+    let program =
+      Magic.scoped_program sp ~holds:(fun p -> Database.pred_card base p > 0)
+    in
     match
       Result.bind
         (Chase.load ~into:(Database.overlay base) (Magic.seeds sp atom))
-        (chase sp.Magic.sp_program)
+        (chase program)
     with
     | Error (Chase.Unstratifiable _) ->
       (* the rewrite broke the stratification the source program had *)
@@ -278,10 +281,12 @@ let query ?stats ?budget ?obs ?parent t spec edb atom =
 
 let explain_answer ?(strategy = `Primary) ?(degraded = false) ?obs ?parent t
     (qr : query_result) (qa : query_answer) =
-  match qr.q_scoped with
-  | None ->
+  let extensional () =
     Error
       (Fact.to_string qa.qa_fact ^ " is an extensional fact: nothing to explain")
+  in
+  match qr.q_scoped with
+  | None -> extensional ()
   | Some result -> (
     Ekg_obs.Trace.with_span_opt obs ?parent "explain" @@ fun parent ->
     let span = spanner obs parent in
@@ -289,16 +294,16 @@ let explain_answer ?(strategy = `Primary) ?(degraded = false) ?obs ?parent t
       span.span "proof-extraction" (fun () ->
           extractor strategy result.Chase.db result.Chase.prov qa.qa_internal)
     with
-    | None ->
-      Error
-        (Fact.to_string qa.qa_fact ^ " is an extensional fact: nothing to explain")
+    | None -> extensional ()
     | Some proof ->
       let proof =
         match qr.q_sp with
         | Some sp -> Magic.unadorn_proof sp proof
         | None -> proof
       in
-      finish_explanation ~span ~degraded t qa.qa_fact (proof, []))
+      (* no step left: the magic rewrite copied an extensional fact *)
+      if proof.Proof.steps = [] then extensional ()
+      else finish_explanation ~span ~degraded t qa.qa_fact (proof, []))
 
 let identity t =
   (* stable across processes: the program's canonical rendering plus

@@ -63,6 +63,7 @@ val incrementable : t -> bool
 
 val add_facts :
   ?budget:Chase.budget ->
+  ?edb:Database.t ->
   t ->
   Chase.result ->
   Atom.t list ->
@@ -71,10 +72,12 @@ val add_facts :
     extensional facts and warm-start the semi-naive chase from them
     ({!Chase.add_facts}).  The returned {!Chase.update} reports what
     moved — the service layer uses [upd_changed_preds] to invalidate
-    only the cached explanations the update could have touched. *)
+    only the cached explanations the update could have touched, and
+    installs [upd_edb]; [edb] is as in {!Chase.add_facts}. *)
 
 val retract_facts :
   ?budget:Chase.budget ->
+  ?edb:Database.t ->
   t ->
   Chase.result ->
   Atom.t list ->

@@ -764,6 +764,7 @@ type update = {
   upd_retracted : int;
   upd_rederived : int;
   upd_changed_preds : string list;
+  upd_edb : Database.t;
 }
 
 let incrementable (program : Program.t) =
@@ -813,6 +814,19 @@ let ground_tuple (a : Atom.t) =
             (function Term.Cst c -> c | Term.Var _ -> assert false)
             a.Atom.args))
 
+let ground_tuples atoms =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | a :: rest -> (
+      match ground_tuple a with
+      | Error _ as e -> e
+      | Ok t -> go (t :: acc) rest)
+  in
+  go [] atoms
+
+let unknown_fact (a : Atom.t) =
+  Unknown_fact ("fact not in the extensional database: " ^ Atom.to_string a)
+
 (* Resolve retraction requests to fact ids, before any mutation: every
    named fact must be active extensional data. *)
 let resolve_retractions (res : result) atoms =
@@ -830,26 +844,71 @@ let resolve_retractions (res : result) atoms =
               (Invalid_edb
                  ("cannot retract derived fact " ^ Atom.to_string a
                 ^ "; only extensional facts may be retracted"))
-        | Some _ | None ->
-          Error (Unknown_fact ("fact not in the extensional database: " ^ Atom.to_string a))))
+        | Some _ | None -> Error (unknown_fact a)))
   in
   go [] atoms
 
-(* Full-recompute fallback: rebuild the fact base and cold-chase it.
-   Non-destructive — the input result is left untouched. *)
-let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
-    ~adds ~retract_ids =
-  let removed = Hashtbl.create 8 in
-  List.iter (fun id -> Hashtbl.replace removed id ()) retract_ids;
-  let base = ref [] in
-  for id = Database.size res.db - 1 downto 0 do
-    if
-      Database.is_active res.db id
-      && Provenance.is_edb res.prov id
-      && not (Hashtbl.mem removed id)
-    then base := atom_of_fact (Database.fact res.db id) :: !base
-  done;
-  match run_checked ?max_rounds ?budget program (!base @ adds) with
+(* The next generation's frozen extensional store (see [update_edb]),
+   over the facts of [db] that [keep] accepts; also returns how many
+   facts it gained and lost. *)
+let derive_edb ~keep db ~adds ~retracts =
+  match ground_tuples adds, ground_tuples retracts with
+  | Error e, _ | _, Error e -> Error e
+  | Ok add_tuples, Ok retract_tuples -> (
+    let dropped = Hashtbl.create 8 in
+    let missing =
+      List.find_opt
+        (fun ((a : Atom.t), t) ->
+          match Database.find_exact db a.Atom.pred t with
+          | Some f when keep f.Fact.id ->
+            Hashtbl.replace dropped f.Fact.id ();
+            false
+          | Some _ | None -> true)
+        (List.combine retracts retract_tuples)
+    in
+    match missing with
+    | Some (a, _) -> Error (unknown_fact a)
+    | None ->
+      let next = Database.create () in
+      for id = 0 to Database.size db - 1 do
+        if keep id && not (Hashtbl.mem dropped id) then begin
+          let f = Database.fact db id in
+          ignore (Database.add next f.Fact.pred f.Fact.args)
+        end
+      done;
+      let kept = Database.size next in
+      List.iter2
+        (fun (a : Atom.t) t -> ignore (Database.add next a.Atom.pred t))
+        adds add_tuples;
+      Database.freeze next;
+      Ok (next, Database.size next - kept, Hashtbl.length dropped))
+
+(* what a batch may change when nothing is maintained incrementally *)
+let batch_changed_preds program ~adds ~retracts =
+  affected_preds program
+    (List.sort_uniq String.compare
+       (List.map (fun (a : Atom.t) -> a.Atom.pred) (adds @ retracts)))
+
+let update_edb program edb ~adds ~retracts =
+  Result.map
+    (fun (next, added, retracted) ->
+      {
+        upd_incremental = false;
+        upd_rounds = 0;
+        upd_added = added;
+        upd_retracted = retracted;
+        upd_rederived = 0;
+        upd_changed_preds = batch_changed_preds program ~adds ~retracts;
+        upd_edb = next;
+      })
+    (derive_edb ~keep:(Database.is_active edb) edb ~adds ~retracts)
+
+(* Full-recompute fallback: cold-chase an overlay of the next
+   generation's store.  Non-destructive — the input result is left
+   untouched. *)
+let rebuild ?max_rounds ?budget (program : Program.t) (res : result) ~edb
+    ~adds ~retracts =
+  match run_store ?max_rounds ?budget program (Database.overlay edb) with
   | Error _ as e -> e
   | Ok fresh ->
     (* observable diff for the update report: active facts of one
@@ -862,11 +921,6 @@ let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
           | Some _ | None -> n + 1)
         0 (Database.active_all a)
     in
-    let seeds =
-      List.sort_uniq String.compare
-        (List.map (fun (a : Atom.t) -> a.Atom.pred) adds
-        @ List.map (fun id -> (Database.fact res.db id).Fact.pred) retract_ids)
-    in
     Ok
       ( fresh,
         {
@@ -875,12 +929,13 @@ let rebuild ?max_rounds ?budget (program : Program.t) (res : result)
           upd_added = count_missing fresh.db res.db;
           upd_retracted = count_missing res.db fresh.db;
           upd_rederived = 0;
-          upd_changed_preds = affected_preds program seeds;
+          upd_changed_preds = batch_changed_preds program ~adds ~retracts;
+          upd_edb = edb;
         } )
 
 (* The incremental pass proper (no aggregation, no existentials). *)
 let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited)
-    (res : result) ~adds ~add_tuples ~retract_ids strata =
+    (res : result) ~edb ~adds ~add_tuples ~retract_ids strata =
   let db = res.db and prov = res.prov in
   let t_start = Ekg_obs.Clock.now_s () in
   let deleted = Hashtbl.create 32 in      (* over-deleted, not yet restored *)
@@ -1214,35 +1269,41 @@ let apply_incremental ?(max_rounds = 100_000) ?(budget = unlimited)
               upd_retracted = !retracted_total - !rederived;
               upd_rederived = !rederived;
               upd_changed_preds = changed;
+              upd_edb = edb;
             } )
     end
 
-let apply_update ?max_rounds ?budget program res ~adds ~retracts =
+let apply_update ?max_rounds ?budget ?edb program res ~adds ~retracts =
   (* all validation happens before any mutation *)
-  let rec tuples acc = function
-    | [] -> Ok (List.rev acc)
-    | a :: rest -> (
-      match ground_tuple a with
-      | Error _ as e -> e
-      | Ok t -> tuples (t :: acc) rest)
-  in
-  match tuples [] adds with
+  match ground_tuples adds with
   | Error e -> Error e
   | Ok add_tuples -> (
     match resolve_retractions res retracts with
     | Error e -> Error e
     | Ok retract_ids -> (
-      if not (incrementable program) then
-        rebuild ?max_rounds ?budget program res ~adds ~retract_ids
-      else
-        match Stratify.strata program with
-        | Error e -> Error (Unstratifiable e)
-        | Ok strata ->
-          apply_incremental ?max_rounds ?budget res ~adds ~add_tuples
-            ~retract_ids strata))
+      let next =
+        match edb with
+        | Some edb -> derive_edb ~keep:(Database.is_active edb) edb ~adds ~retracts
+        | None ->
+          derive_edb
+            ~keep:(fun id ->
+              Database.is_active res.db id && Provenance.is_edb res.prov id)
+            res.db ~adds ~retracts
+      in
+      match next with
+      | Error e -> Error e
+      | Ok (edb, _, _) -> (
+        if not (incrementable program) then
+          rebuild ?max_rounds ?budget program res ~edb ~adds ~retracts
+        else
+          match Stratify.strata program with
+          | Error e -> Error (Unstratifiable e)
+          | Ok strata ->
+            apply_incremental ?max_rounds ?budget res ~edb ~adds ~add_tuples
+              ~retract_ids strata)))
 
-let add_facts ?max_rounds ?budget program res atoms =
-  apply_update ?max_rounds ?budget program res ~adds:atoms ~retracts:[]
+let add_facts ?max_rounds ?budget ?edb program res atoms =
+  apply_update ?max_rounds ?budget ?edb program res ~adds:atoms ~retracts:[]
 
-let retract_facts ?max_rounds ?budget program res atoms =
-  apply_update ?max_rounds ?budget program res ~adds:[] ~retracts:atoms
+let retract_facts ?max_rounds ?budget ?edb program res atoms =
+  apply_update ?max_rounds ?budget ?edb program res ~adds:[] ~retracts:atoms

@@ -289,7 +289,7 @@ val run_exn :
     aggregation (a retracted contributor invalidates materialized group
     totals) or existential heads (labelled-null identity is
     chase-order-dependent) — transparently fall back to a full
-    re-chase over the updated extensional base; {!update} reports which
+    re-chase over an overlay of [upd_edb]; {!update} reports which
     path ran.  The input [result] is mutated in place on the
     incremental path and untouched by the fallback.
 
@@ -318,16 +318,28 @@ type update = {
   upd_changed_preds : string list;
       (** predicates whose active content (or recorded provenance) may
           have changed — the cache-invalidation key, sorted *)
+  upd_edb : Database.t;
+      (** the frozen extensional store after the update ({!update_edb}),
+          which a serving layer installs as the next generation's *)
 }
 
 val incrementable : Program.t -> bool
 (** Whether the program is in the fragment maintained by the delta
     algorithms (no monotonic aggregation, no existential heads). *)
 
-val affected_preds : Program.t -> string list -> string list
-(** Downstream closure of the seed predicates over the program's
-    dependency graph: every predicate whose content could change when
-    facts of a seed predicate change.  Sorted; includes the seeds. *)
+val update_edb :
+  Program.t ->
+  Database.t ->
+  adds:Atom.t list ->
+  retracts:Atom.t list ->
+  (update, error) Stdlib.result
+(** The update of a frozen extensional store [edb] with nothing
+    materialized: [upd_edb] keeps [edb]'s facts in order minus the
+    retracted ones, then appends the added facts it does not hold yet,
+    in first-occurrence order.  A non-ground atom fails with
+    {!Invalid_edb}, a retraction of a fact [edb] lacks with
+    {!Unknown_fact}, before any work.  O(|edb| + batch).  {!add_facts}
+    and {!retract_facts} derive their [upd_edb] the same way. *)
 
 val edb_atoms : result -> Atom.t list
 (** The active extensional facts as ground atoms, in insertion order —
@@ -343,6 +355,7 @@ val copy_result : result -> result
 val add_facts :
   ?max_rounds:int ->
   ?budget:budget ->
+  ?edb:Database.t ->
   Program.t ->
   result ->
   Atom.t list ->
@@ -356,11 +369,14 @@ val add_facts :
     addition that fires a negative constraint fails with
     {!Inconsistent} only after the fixpoint was restored — [res] is
     then mutated and must be discarded (see the error contract
-    above). *)
+    above).  [edb] is the store holding [res]'s active extensional
+    facts that [upd_edb] derives from, so its order does not depend on
+    the path taken (default: those facts in id order). *)
 
 val retract_facts :
   ?max_rounds:int ->
   ?budget:budget ->
+  ?edb:Database.t ->
   Program.t ->
   result ->
   Atom.t list ->
@@ -374,4 +390,4 @@ val retract_facts :
     fail {e after} mutation: under stratified negation a deletion may
     enable a later-stratum negative constraint, surfacing as
     {!Inconsistent} with [res] mutated (see the error contract
-    above). *)
+    above).  [edb] is as in {!add_facts}. *)

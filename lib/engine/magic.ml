@@ -16,6 +16,7 @@ type specialized = {
   sp_renames : (string * string) list;
   sp_rule_origin : (string * string) list;
   sp_magic_preds : string list;
+  sp_copy_rules : string list;
 }
 
 let adornment (a : Atom.t) =
@@ -82,6 +83,7 @@ let specialize (p : Program.t) ~pred ~mask =
       let extra_seeds = ref [] in
       let renames = ref [] in
       let magic_preds = ref [] in
+      let copy_rules = ref [] in
       let visited = Hashtbl.create 16 in
       let note_rename ad_name orig =
         if not (List.mem_assoc ad_name !renames) then
@@ -95,8 +97,33 @@ let specialize (p : Program.t) ~pred ~mask =
           Hashtbl.add visited (dpred, ad) ();
           note_rename (adorned_name dpred ad) dpred;
           note_magic (magic_name dpred ad);
-          List.iter (fun r -> adorn_rule r ad) (Program.rules_deriving p dpred)
+          let rules = Program.rules_deriving p dpred in
+          copy_edb dpred ad rules;
+          List.iter (fun r -> adorn_rule r ad) rules
         end
+      (* the EDB may hold facts of a derived predicate too: a copy rule
+         moves the demanded ones into the adorned predicate.  It comes
+         first, so a copied fact's first derivation is the copy, which
+         {!unadorn_proof} drops — the fact is extensional in the full
+         chase. *)
+      and copy_edb dpred ad rules =
+        let arity =
+          match rules with r :: _ -> Atom.arity r.Rule.head | [] -> 0
+        in
+        let args = List.init arity (fun i -> Term.Var (Printf.sprintf "X%d" i)) in
+        let source = Atom.make dpred args in
+        let id = adorned_name dpred ad ^ "#edb" in
+        copy_rules := id :: !copy_rules;
+        out_rules :=
+          Rule.make ~id
+            ~body:
+              [
+                Rule.Pos (Atom.make (magic_name dpred ad) (bound_args ad source));
+                Rule.Pos source;
+              ]
+            ~head:(Atom.make (adorned_name dpred ad) args)
+            ()
+          :: !out_rules
       (* emit the demand for a subgoal: a magic rule over the body
          prefix evaluated so far, or a ground seed when the demand is
          unconditional (a constraint rule whose first literal is
@@ -241,6 +268,7 @@ let specialize (p : Program.t) ~pred ~mask =
               sp_renames = !renames;
               sp_rule_origin = !rule_origin;
               sp_magic_preds = !magic_preds;
+              sp_copy_rules = !copy_rules;
             }
         | Error es ->
           Error
@@ -249,6 +277,14 @@ let specialize (p : Program.t) ~pred ~mask =
       with Unsupported msg -> Error msg
     end
   end
+
+let scoped_program sp ~holds =
+  let live (r : Rule.t) =
+    (not (List.mem r.Rule.id sp.sp_copy_rules)) || List.exists holds (Rule.body_preds r)
+  in
+  let rules = sp.sp_program.Program.rules in
+  if List.for_all live rules then sp.sp_program
+  else Program.make ~goal:sp.sp_goal (List.filter live rules)
 
 let seeds sp (query : Atom.t) =
   Atom.make sp.sp_seed_pred (bound_args sp.sp_mask query) :: sp.sp_extra_seeds
@@ -267,7 +303,10 @@ let unadorn_proof sp (proof : Proof.t) =
   in
   let steps =
     List.filter
-      (fun (s : Proof.step) -> not (is_magic s.Proof.fact.Fact.pred))
+      (fun (s : Proof.step) ->
+        not
+          (is_magic s.Proof.fact.Fact.pred
+          || List.mem s.Proof.rule_id sp.sp_copy_rules))
       proof.Proof.steps
   in
   let steps =

@@ -46,6 +46,7 @@ type specialized = {
   sp_rule_origin : (string * string) list;
       (** rewritten rule id → source rule id *)
   sp_magic_preds : string list;  (** demand predicates (internal bookkeeping) *)
+  sp_copy_rules : string list;  (** [m__p__ad(…), p(X̄) → p__ad(X̄)]: EDB facts of derived [p] *)
 }
 
 val adornment : Atom.t -> string
@@ -61,6 +62,10 @@ val specialize :
     existential head or a query binding an aggregate result) mean the
     caller should answer from the full materialization instead. *)
 
+val scoped_program : specialized -> holds:(string -> bool) -> Program.t
+(** [sp_program] without the copy rules of predicates a store holds no
+    fact of ([holds] is false): they cannot fire, yet cost planning. *)
+
 val seeds : specialized -> Atom.t -> Atom.t list
 (** The extensional seed facts for one concrete query atom: the magic
     fact carrying the query's bound constants, plus the unconditional
@@ -70,7 +75,6 @@ val goal_atom : specialized -> Atom.t -> Atom.t
 (** The query atom renamed into the rewritten program's vocabulary —
     what to {!Query.ask} the scoped chase result for. *)
 
-val original_pred : specialized -> string -> string
 val original_fact : specialized -> Fact.t -> Fact.t
 (** Project a scoped fact back onto the source program's vocabulary
     (identity for facts that were never adorned). *)
@@ -80,7 +84,9 @@ val unadorn_proof : specialized -> Proof.t -> Proof.t
     source program: magic (demand) steps and premises are dropped,
     rewritten rule ids map back to their source labels, and adorned
     predicates are renamed — the result is a proof the template mapper
-    accepts against the {e original} program's reasoning paths. *)
+    accepts against the {e original} program's reasoning paths.  Copy
+    steps are dropped too, leaving a copied fact an extensional leaf
+    (a copied goal leaves no step). *)
 
 val rewrite : Program.t -> Atom.t -> (Program.t * Atom.t list, string) result
 (** {!specialize} for the concrete atom's own adornment, returning the

@@ -137,7 +137,3 @@ let of_chase (err : Chase.error) =
   | Chase.Budget_exceeded ((`Facts | `Rounds), p) ->
     Budget_exceeded, message, partial_detail p
   | Chase.Cancelled p -> Cancelled, message, partial_detail p
-
-let chase_response err =
-  let code, message, detail = of_chase err in
-  response ~detail code message

@@ -59,6 +59,3 @@ val partial_detail : Chase.partial -> (string * Json.t) list
 
 val of_chase : Chase.error -> code * string * (string * Json.t) list
 (** Map a typed chase error to (code, message, detail). *)
-
-val chase_response : Chase.error -> Http.response
-(** {!of_chase} rendered as a response. *)

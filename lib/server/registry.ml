@@ -29,19 +29,23 @@ type spec =
   | Files of { program : string; glossary : string option; facts_dir : string option }
   | Inline of { program : string; glossary : string option }
 
+(* the loaded facts until first use, then the generation's store *)
+type edb =
+  | Loaded of Atom.t list
+  | Store of Database.t
+
 type session = {
   id : string;
   name : string;
   spec : spec;
   pipeline : Pipeline.t;
   program_hash : string;
-  mutable edb : Atom.t list;
+  mutable edb : edb;
   created_at : float;
   lock : Mutex.t;
   mutable chase : Chase.result option;
   explain_cache : (string * string, cached_explanation) Hashtbl.t;
   query_cache : (string, query_entry) Hashtbl.t;  (* keyed pred ^ "/" ^ mask *)
-  mutable query_base : (int * Database.t) option;  (* frozen EDB store, by generation *)
   mutable update_gen : int;
   mutable explain_count : int;
   mutable query_count : int;
@@ -81,7 +85,6 @@ let query_rewrite_misses_metric = "ekg_query_rewrite_cache_misses_total"
 let query_answer_hits_metric = "ekg_query_answer_cache_hits_total"
 let query_answer_misses_metric = "ekg_query_answer_cache_misses_total"
 let query_invalidations_metric = "ekg_query_cache_invalidations_total"
-let query_base_builds_metric = "ekg_query_base_builds_total"
 let query_seconds_metric = "ekg_query_seconds_total"
 
 let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?store
@@ -107,11 +110,6 @@ let create ?(root = ".") ?(obs = Ekg_obs.Metrics.noop ()) ?(fault = Fault.Off) ?
     sessions = [];
     next_id = 1;
   }
-
-let store t = Option.map (fun p -> p.store) t.persist
-
-let flush_snapshots t =
-  Option.iter (fun p -> Ekg_store.Snapshotter.flush p.snapshotter) t.persist
 
 let stop_persistence t =
   Option.iter (fun p -> Ekg_store.Snapshotter.stop p.snapshotter) t.persist
@@ -143,26 +141,65 @@ let spec_of_codec : Ekg_store.Codec.spec -> spec = function
   | Ekg_store.Codec.Inline { program; glossary } ->
     Inline { program; glossary }
 
-(* Build the snapshot value with [session.lock] held.  Cheap: the EDB
-   mirror and a published chase result are both immutable under the
-   copy-on-write update discipline, so this grabs pointers — the
-   encode runs later, off the lock, wherever the caller (snapshotter
-   domain, eviction) wants it. *)
+(* --- the generation's EDB store ---------------------------------------------
+
+   Built from the loaded facts on first use, not at session creation,
+   which then costs only its load. *)
+
+let timed_edb f =
+  let t0 = Ekg_obs.Clock.now_s () in
+  let built = f () in
+  Ekg_obs.Log.Ctx.put "edb_build_ms"
+    (Ekg_obs.Log.Float ((Ekg_obs.Clock.now_s () -. t0) *. 1000.));
+  built
+
+(* The store behind [edb], the session's EDB as read under its lock:
+   loaded facts are built and installed unless a racing first use
+   installed its own.  Callers holding the lock through O(|EDB|) work
+   anyway (a cold chase, an update, an eviction save) build [locked];
+   the others, off the lock. *)
+let store_of ?(locked = false) (session : session) = function
+  | Store edb -> Ok edb
+  | Loaded atoms ->
+    Result.map
+      (fun edb ->
+        let install () =
+          match session.edb with
+          | Loaded _ -> session.edb <- Store edb
+          | Store _ -> ()
+        in
+        if locked then install () else with_lock session.lock install;
+        edb)
+      (timed_edb (fun () -> Pipeline.edb_base atoms))
+
+let store_locked session = store_of ~locked:true session session.edb
+
+(* Build the snapshot value with [session.lock] held.  Cheap once the
+   store is built: the store and a published chase result are both
+   immutable under the copy-on-write update discipline, so this grabs
+   pointers — the encode runs later, off the lock, wherever the caller
+   (snapshotter domain, eviction) wants it. *)
 let snapshot_of_locked (session : session) =
-  {
-    Ekg_store.Codec.id = session.id;
-    name = session.name;
-    spec = codec_spec session.spec;
-    program_hash = session.program_hash;
-    update_gen = session.update_gen;
-    created_at = session.created_at;
-    edb = session.edb;
-    mat = session.chase;
-  }
+  Result.map
+    (fun edb ->
+      {
+        Ekg_store.Codec.id = session.id;
+        name = session.name;
+        spec = codec_spec session.spec;
+        program_hash = session.program_hash;
+        update_gen = session.update_gen;
+        created_at = session.created_at;
+        edb;
+        mat = session.chase;
+      })
+    (store_locked session)
 
 let capture (session : session) () =
+  (* loaded facts are built before the locked part, which then only
+     grabs pointers *)
+  ignore (store_of session (with_lock session.lock (fun () -> session.edb)));
   with_lock session.lock (fun () ->
-      if session.deleted then None else Some (snapshot_of_locked session))
+      if session.deleted then None else Result.to_option (snapshot_of_locked session))
 
 (* Must be called with no session lock held: in [Sync] mode the
    snapshotter runs the capture inline, and the session mutex is not
@@ -246,7 +283,6 @@ let make_session ~id ~name ~spec ~pipeline ~edb ~created_at ~update_gen =
     chase = None;
     explain_cache = Hashtbl.create 16;
     query_cache = Hashtbl.create 8;
-    query_base = None;
     update_gen;
     explain_count = 0;
     query_count = 0;
@@ -266,7 +302,7 @@ let add t ?name spec =
           let session =
             make_session ~id
               ~name:(Option.value name ~default:id)
-              ~spec ~pipeline ~edb
+              ~spec ~pipeline ~edb:(Loaded edb)
               ~created_at:(Unix.gettimeofday ())
               ~update_gen:0
           in
@@ -358,7 +394,11 @@ let evict t p (victim : session) =
       | None -> ()
       | Some _ when victim.deleted -> victim.chase <- None
       | Some _ ->
-        (match Ekg_store.Store.save p.store (snapshot_of_locked victim) with
+        (match
+           Result.bind
+             (Result.map_error Chase.error_to_string (snapshot_of_locked victim))
+             (Ekg_store.Store.save p.store)
+         with
         | Ok _ -> ()
         | Error e ->
           Logs.warn (fun m ->
@@ -430,9 +470,9 @@ let materialize ?(budget = Chase.unlimited) ?tracer ?parent t
             | Error _ as e -> e
             | Ok () -> (
               match
-                Chase.run_checked ~stats:t.obs ~budget
-                  ?obs:tracer ?parent session.pipeline.Pipeline.program
-                  session.edb
+                Result.bind (store_locked session) (fun edb ->
+                    Chase.run_store ~stats:t.obs ~budget ?obs:tracer ?parent
+                      session.pipeline.Pipeline.program (Database.overlay edb))
               with
               | Ok result ->
                 session.chase <- Some result;
@@ -483,14 +523,13 @@ let invalidate_cache_locked (session : session) changed =
   in
   List.iter (Hashtbl.remove session.explain_cache) stale
 
-(* drop every cached query answer and the query base: both belong to
-   the generation the commit just superseded, so neither can serve
-   again, and an answer's scoped instance is an overlay that would keep
-   the superseded base alive.  The specializations survive — they
-   depend only on the immutable program.  Returns the number of
-   answers dropped; called with the session lock held. *)
+(* drop every cached query answer: they belong to the generation the
+   commit just superseded, so none can serve again, and an answer's
+   scoped instance is an overlay that would keep the superseded store
+   alive.  The specializations survive — they depend only on the
+   immutable program.  Returns the number of answers dropped; called
+   with the session lock held. *)
 let invalidate_queries_locked (session : session) =
-  session.query_base <- None;
   Hashtbl.fold
     (fun _ (entry : query_entry) dropped ->
       let n = Hashtbl.length entry.qe_answers in
@@ -527,120 +566,52 @@ let record_update t (upd : Chase.update) =
     retracted_facts_metric
     (float_of_int upd.Chase.upd_retracted)
 
-(* ground atoms hashed consistently with [Atom.equal], which compares
-   values with [Value.equal] ([1] and [1.0] are one fact) *)
-module AtomTbl = Hashtbl.Make (struct
-  type t = Atom.t
-
-  let equal = Atom.equal
-
-  let hash (a : Atom.t) =
-    List.fold_left
-      (fun h (term : Term.t) ->
-        (h * 31)
-        + match term with Term.Cst v -> Ekg_kernel.Value.hash v | Term.Var x -> Hashtbl.hash x)
-      (Hashtbl.hash a.Atom.pred) a.Atom.args
-end)
-
-(* update the dormant EDB mirror only — nothing is materialized yet, so
-   there is nothing to maintain; the next materialization sees the new
-   base.  Validation mirrors the engine's: ground additions, known
-   extensional retractions. *)
-let update_edb_only (session : session) op atoms =
-  let program = session.pipeline.Pipeline.program in
-  match
-    List.find_opt (fun (a : Atom.t) -> not (Atom.is_ground a)) atoms
-  with
-  | Some a -> Error (Chase.Invalid_edb ("non-ground fact: " ^ Atom.to_string a))
-  | None -> (
-    let changed =
-      Chase.affected_preds program
-        (List.sort_uniq String.compare
-           (List.map (fun (a : Atom.t) -> a.Atom.pred) atoms))
-    in
-    let upd ~added ~retracted =
-      {
-        Chase.upd_incremental = false;
-        upd_rounds = 0;
-        upd_added = added;
-        upd_retracted = retracted;
-        upd_rederived = 0;
-        upd_changed_preds = changed;
-      }
-    in
-    (* the request's distinct atoms, first occurrence first, then one
-       hashed pass over the mirror marks those it already holds *)
-    let batch = AtomTbl.create (List.length atoms) in
-    let distinct =
-      List.filter
-        (fun a ->
-          if AtomTbl.mem batch a then false
-          else begin
-            AtomTbl.add batch a false;
-            true
-          end)
-        atoms
-    in
-    List.iter
-      (fun e -> if AtomTbl.mem batch e then AtomTbl.replace batch e true)
-      session.edb;
-    let in_edb a = AtomTbl.find batch a in
-    match op with
-    | `Add ->
-      let fresh = List.filter (fun a -> not (in_edb a)) distinct in
-      session.edb <- session.edb @ fresh;
-      Ok (upd ~added:(List.length fresh) ~retracted:0)
-    | `Retract -> (
-      match List.find_opt (fun a -> not (in_edb a)) distinct with
-      | Some missing ->
-        Error
-          (Chase.Unknown_fact
-             ("fact not in the extensional database: " ^ Atom.to_string missing))
-      | None ->
-        let before = List.length session.edb in
-        session.edb <- List.filter (fun e -> not (AtomTbl.mem batch e)) session.edb;
-        Ok (upd ~added:0 ~retracted:(before - List.length session.edb))))
-
 let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
+  let adds, retracts =
+    match op with `Add -> (atoms, []) | `Retract -> ([], atoms)
+  in
   let committed =
     with_lock session.lock (fun () ->
       session.last_used <- Unix.gettimeofday ();
       let outcome =
-        match session.chase with
-        | None -> update_edb_only session op atoms
-        | Some res -> (
-          let apply =
-            match op with
-            | `Add -> Pipeline.add_facts
-            | `Retract -> Pipeline.retract_facts
-          in
-          (* Copy-on-write: explain handlers read the published result
-             lock-free once [materialize] returns, and the incremental
-             engine mutates in place — including on failures it only
-             detects after mutating (Inconsistent, budget trips).  So
-             the update runs against a private copy and is published by
-             pointer swap on success; every error path discards the
-             copy, leaving the served snapshot, the EDB mirror and the
-             explanation cache exactly as they were.  The
-             non-incrementable fallback re-chases without touching its
-             input, so it needs no copy. *)
-          let target =
-            if Pipeline.incrementable session.pipeline then
-              Chase.copy_result res
-            else res
-          in
-          match
-            apply ~budget session.pipeline target atoms
-          with
-          | Ok (res', upd) ->
-            session.chase <- Some res';
-            (* the engine's view of the base is now authoritative *)
-            session.edb <- Chase.edb_atoms res';
-            Ok upd
-          | Error _ as e -> e)
+        Result.bind (store_locked session) (fun edb ->
+            match session.chase with
+            | None ->
+              (* nothing to maintain: the next materialization
+                 chases the new store *)
+              timed_edb (fun () ->
+                  Chase.update_edb session.pipeline.Pipeline.program edb ~adds
+                    ~retracts)
+              |> Result.map (fun upd -> (None, upd))
+            | Some res ->
+              let apply =
+                match op with
+                | `Add -> Pipeline.add_facts
+                | `Retract -> Pipeline.retract_facts
+              in
+              (* Copy-on-write: explain handlers read the published
+                 result lock-free once [materialize] returns, and the
+                 incremental engine mutates in place — including on
+                 failures it only detects after mutating (Inconsistent,
+                 budget trips).  So the update runs against a private
+                 copy and is published by pointer swap on success; every
+                 error path discards the copy, leaving the served
+                 snapshot, the EDB store and the explanation cache
+                 exactly as they were.  The non-incrementable fallback
+                 re-chases without touching its input, so it needs no
+                 copy. *)
+              let target =
+                if Pipeline.incrementable session.pipeline then
+                  Chase.copy_result res
+                else res
+              in
+              apply ~budget ~edb session.pipeline target atoms
+              |> Result.map (fun (res', upd) -> (Some res', upd)))
       in
       match outcome with
-      | Ok upd ->
+      | Ok (chase, upd) ->
+        if Option.is_some chase then session.chase <- chase;
+        session.edb <- Store upd.Chase.upd_edb;
         session.update_gen <- session.update_gen + 1;
         invalidate_cache_locked session upd.Chase.upd_changed_preds;
         let dropped = invalidate_queries_locked session in
@@ -669,10 +640,8 @@ let update_facts ?(budget = Chase.unlimited) t (session : session) op atoms =
    Point queries never touch the served materialization: the program is
    magic-sets-specialized per query shape (cached in an LRU keyed
    predicate + mask), a private scoped chase runs over an overlay of
-   the session's query base, and concrete answers are cached until the
-   next commit.  The base is the EDB mirror loaded into a frozen store,
-   built by the first query of each update generation and shared by
-   every later one.  A dormant session stays dormant — in particular a
+   the generation's EDB store, and concrete answers are cached until
+   the next commit.  A dormant session stays dormant — in particular a
    query never triggers (or waits on) a cold full materialization. *)
 
 let max_query_shapes = 64
@@ -709,30 +678,6 @@ let note_query_event (result : Pipeline.query_result) ~cache_hit =
   Ekg_obs.Log.Ctx.put "chase_facts"
     (Ekg_obs.Log.Int result.Pipeline.q_derived)
 
-(* The session's query base for this request: the one published at the
-   request's generation, or a fresh one built here, off the session
-   lock, from the mirror snapshot [edb].  A fresh base is published
-   together with the answers, in the one critical section that follows
-   the chase: a second lock round trip would queue the query behind a
-   commit a second time. *)
-let resolve_base t ~published edb =
-  match published with
-  | Some base ->
-    Ekg_obs.Log.Ctx.put "query_base" (Ekg_obs.Log.Str "shared");
-    Ok base
-  | None ->
-    let t0 = Ekg_obs.Clock.now_s () in
-    Result.map
-      (fun base ->
-        Ekg_obs.Metrics.incr t.obs
-          ~help:"Query bases built from a session's EDB (one per update generation)"
-          query_base_builds_metric;
-        Ekg_obs.Log.Ctx.put "query_base" (Ekg_obs.Log.Str "built");
-        Ekg_obs.Log.Ctx.put "base_ms"
-          (Ekg_obs.Log.Float ((Ekg_obs.Clock.now_s () -. t0) *. 1000.));
-        base)
-      (Pipeline.edb_base edb)
-
 let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
     (atom : Atom.t) =
   let pred = atom.Atom.pred in
@@ -752,14 +697,8 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
         let now = Unix.gettimeofday () in
         session.last_used <- now;
         session.query_count <- session.query_count + 1;
-        let gen = session.update_gen in
         let run spec rewrite_cached =
-          let published =
-            match session.query_base with
-            | Some (g, b) when g = gen -> Some b
-            | _ -> None
-          in
-          `Run (spec, rewrite_cached, gen, published, session.edb)
+          `Run (spec, rewrite_cached, session.update_gen, session.edb)
         in
         match Hashtbl.find_opt session.query_cache shape_key with
         | Some entry -> (
@@ -788,7 +727,7 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
     note_query_event result ~cache_hit:true;
     finish ();
     Ok { qo_result = result; qo_rewrite_cached = true; qo_answer_cached = true }
-  | `Run (spec, rewrite_cached, gen, published, edb) -> (
+  | `Run (spec, rewrite_cached, gen, edb) -> (
     count
       (if rewrite_cached then query_rewrite_hits_metric
        else query_rewrite_misses_metric)
@@ -804,33 +743,26 @@ let query ?(budget = Chase.unlimited) ?tracer ?parent t (session : session)
     in
     let outcome =
       Result.bind injected (fun () ->
-          Result.bind (resolve_base t ~published edb) (fun base ->
-              Result.map
-                (fun result -> (base, result))
-                (Pipeline.query_base ~stats:t.obs ~budget ?obs:tracer ?parent
-                   session.pipeline spec base atom)))
+          Result.bind (store_of session edb) (fun edb ->
+              Pipeline.query_base ~stats:t.obs ~budget ?obs:tracer ?parent
+                session.pipeline spec edb atom))
     in
     match outcome with
     | Error err ->
       finish ();
       Error (`Chase err)
-    | Ok (base, result) ->
+    | Ok result ->
       with_lock session.lock (fun () ->
           (* a fact update committed while the chase ran: its
              invalidation already happened, so storing now would serve
-             a stale generation — drop instead.  A fresh base is
-             published unless a racing query published one first: one
-             per generation. *)
-          if session.update_gen = gen then begin
-            if Option.is_none session.query_base then
-              session.query_base <- Some (gen, base);
+             a stale generation — drop instead *)
+          if session.update_gen = gen then
             match Hashtbl.find_opt session.query_cache shape_key with
             | Some entry ->
               Hashtbl.replace entry.qe_answers answer_key
                 { ca_result = result; ca_used = Unix.gettimeofday () };
               lru_trim entry.qe_answers max_answers_per_shape (fun c -> c.ca_used)
-            | None -> ()
-          end);
+            | None -> ());
       note_query_event result ~cache_hit:false;
       finish ();
       Ok
@@ -900,11 +832,11 @@ let recover t =
               match load t spec with
               | Error e -> (ok, (id, "program reload failed: " ^ e) :: failed)
               | Ok { Apps_util.pipeline; edb = _ } ->
-                (* the snapshot's EDB mirror is authoritative — live
-                   updates may have diverged from the spec's own facts *)
+                (* the snapshot's EDB is authoritative — live updates
+                   may have diverged from the spec's own facts *)
                 let session =
                   make_session ~id ~name:snap.Ekg_store.Codec.name ~spec
-                    ~pipeline ~edb:snap.Ekg_store.Codec.edb
+                    ~pipeline ~edb:(Store snap.Ekg_store.Codec.edb)
                     ~created_at:snap.Ekg_store.Codec.created_at
                     ~update_gen:snap.Ekg_store.Codec.update_gen
                 in
@@ -943,21 +875,21 @@ let session_json (session : session) =
         update_gen,
         last_used,
         queried,
-        cached_queries,
-        query_base ) =
+        cached_queries ) =
     with_lock session.lock (fun () ->
         ( Option.is_some session.chase,
           session.explain_count,
           Option.is_some session.last_trace,
-          List.length session.edb,
+          (match session.edb with
+          | Loaded atoms -> List.length atoms
+          | Store edb -> Database.size edb),
           Hashtbl.length session.explain_cache,
           session.update_gen,
           session.last_used,
           session.query_count,
           Hashtbl.fold
             (fun _ (e : query_entry) n -> n + Hashtbl.length e.qe_answers)
-            session.query_cache 0,
-          session.query_base ))
+            session.query_cache 0 ))
   in
   Json.Obj
     [
@@ -979,12 +911,6 @@ let session_json (session : session) =
       "explain_requests", Json.int explained;
       "cached_queries", Json.int cached_queries;
       "query_requests", Json.int queried;
-      ( "query_base",
-        match query_base with
-        | None -> Json.Null
-        | Some (gen, base) ->
-          Json.Obj
-            [ "update_gen", Json.int gen; "facts", Json.int (Database.size base) ] );
       "traced", Json.bool traced;
       "created_at", Json.num session.created_at;
       "last_used_unix_s", Json.num last_used;

@@ -46,6 +46,17 @@ type spec =
   | Inline of { program : string; glossary : string option }
       (** program (and optional glossary) texts shipped in the request *)
 
+type edb =
+  | Loaded of Atom.t list  (** the facts as loaded, until first use *)
+  | Store of Database.t    (** the generation's frozen store *)
+(** A session's extensional database: one store per update generation,
+    shared by every reader — query-lane and materialization chases run
+    over {!Database.overlay}s of it, snapshots encode it.  A session is
+    created [Loaded], so creating it costs its load, not a store
+    build; its first use (query, materialization, update or snapshot)
+    builds the [Store], and every commit installs the store the update
+    derived ([Chase.update.upd_edb]). *)
+
 type session = {
   id : string;                 (** registry-assigned, ["s1"], ["s2"], … *)
   name : string;               (** caller-supplied display name *)
@@ -56,7 +67,7 @@ type session = {
       (** {!Pipeline.identity} of [pipeline], computed once; snapshots
           are stamped with it and a warm restore refuses a snapshot of
           a different program *)
-  mutable edb : Atom.t list;   (** current extensional base (live-updated) *)
+  mutable edb : edb;           (** the current generation's EDB *)
   created_at : float;
   lock : Mutex.t;              (** guards every mutable field *)
   mutable chase : Chase.result option;
@@ -71,12 +82,6 @@ type session = {
   query_cache : (string, query_entry) Hashtbl.t;
       (** the query lane's per-session LRU, keyed [pred ^ "/" ^ mask];
           specializations survive fact updates, cached answers do not *)
-  mutable query_base : (int * Database.t) option;
-      (** the query lane's base at an update generation: [edb] loaded
-          into a frozen store ({!Pipeline.edb_base}) that every
-          uncached query of that generation chases an overlay of.
-          Built by the first such query, never at session creation;
-          dropped by every commit. *)
   mutable update_gen : int;
       (** bumped by every committed fact update; {!cache_explanations}
           refuses to store a result computed under an older generation,
@@ -123,11 +128,6 @@ val query_invalidations_metric : string
 (** ["ekg_query_cache_invalidations_total"] — cached query answers
     dropped by fact updates. *)
 
-val query_base_builds_metric : string
-(** ["ekg_query_base_builds_total"] — query bases built from a
-    session's EDB; at most one per session and update generation,
-    barring racing first queries. *)
-
 val query_seconds_metric : string
 (** ["ekg_query_seconds_total"] — seconds spent answering point
     queries. *)
@@ -158,16 +158,10 @@ val create :
     many sessions may hold a materialization in memory; beyond it the
     least-recently-used ones are demoted to their snapshot. *)
 
-val store : t -> Ekg_store.Store.t option
-(** The persistence store, when one was configured. *)
-
 val snapshotter : t -> Ekg_store.Snapshotter.t option
 (** The write-behind snapshotter, when persistence is on — the router
     registers its queue-depth/stall gauges as a runtime-sampler
     source. *)
-
-val flush_snapshots : t -> unit
-(** Block until no snapshot request is pending or in flight. *)
 
 val stop_persistence : t -> unit
 (** Drain pending snapshots and join the write-behind domain (no-op
@@ -198,7 +192,7 @@ val recover : t -> session list * (string * string) list
 (** Scan the store directory and re-register every snapshotted session
     that is not already present, {e dormant} (no materialization is
     decoded; the first request warm-restores or re-chases).  Each
-    session keeps its original id, name, EDB mirror and update
+    session keeps its original id, name, EDB store and update
     generation; [next_id] is bumped past recovered ids.  Returns the
     recovered sessions and the per-file failures (unreadable, corrupt,
     or the recorded program no longer compiles) — failures never stop
@@ -215,8 +209,10 @@ val materialize :
   session ->
   (Chase.result, Chase.error) result
 (** The cached chase result, computing it on first use.  Counts a
-    cache hit or miss on the registry's metrics; a miss runs the chase
-    with the registry's [obs] sink, so [result.stats] carries per-rule
+    cache hit or miss on the registry's metrics; a miss chases an
+    overlay of the session's EDB store ({!Chase.run_store}, so the
+    materialization shares the EDB facts instead of copying them) with
+    the registry's [obs] sink, so [result.stats] carries per-rule
     timings and the [ekg_chase_*] series advance.  [tracer]/[parent]
     thread the request trace into a cold chase, so its per-stratum
     spans — labelled with the stratum and its round count — nest under
@@ -259,18 +255,26 @@ val update_facts :
     {!Chase.copy_result} copy incrementally ({!Pipeline.add_facts} /
     {!Pipeline.retract_facts}) and publishes it by pointer swap, so
     concurrent explanation requests keep reading the previous,
-    immutable snapshot throughout; without one only the dormant EDB
-    mirror changes and the next materialization picks up the new base
-    (added atoms are deduplicated against the mirror and within the
-    request, in one hashed pass over the mirror).  Cached explanations
-    whose predicates intersect the update's [upd_changed_preds] are
-    invalidated; the rest survive, as do the session's compiled
-    templates.  Every cached query answer and the query base are
-    dropped: they belong to the superseded generation.
+    immutable snapshot throughout; without one nothing is maintained
+    ({!Chase.update_edb}) and the next materialization chases the new
+    store.  Either way the update derives the next generation's EDB
+    store the same way — surviving facts in order, then the added
+    facts not held yet, in first-occurrence order — and the commit
+    installs it, so a hot and a dormant session fed the same updates
+    hold the same store.  Cached explanations whose predicates
+    intersect the update's [upd_changed_preds] are invalidated; the
+    rest survive, as do the session's compiled templates.  Every
+    cached query answer is dropped: it belongs to the superseded
+    generation.
+
+    One validation differs by tier: retracting a {e derived} fact is
+    {!Chase.Invalid_edb} (400) on a hot session but
+    {!Chase.Unknown_fact} (404) on a dormant one, because only a
+    materialization can tell a derived fact from an absent one.
 
     {e Every} error leaves the session exactly as it was — the served
-    materialization, the EDB mirror and the explanation cache all
-    predate the failed request.  That covers validation errors
+    materialization, the EDB store, the update generation and the
+    explanation cache all predate the failed request.  That covers validation errors
     (non-ground addition, unknown or intensional retraction), budget
     trips mid-propagation, and {!Chase.Inconsistent} (409): the engine
     detects a constraint violation only after mutating, but it mutated
@@ -325,13 +329,11 @@ val query :
     [GET|POST /v1/sessions/:id/query] handler.  The session's program
     is magic-sets-specialized for the query's bound/free shape
     ({!Pipeline.specialize}, cached in a per-session LRU), a private
-    scoped chase runs over an overlay of the session's query base
+    scoped chase runs over an overlay of the generation's EDB store
     ({!Pipeline.query_base}), and the concrete answer set is cached
-    until the next commit.  The first uncached query of an update
-    generation builds the base from the EDB mirror, off the session
-    lock, and publishes it with its answers, in the one critical
-    section after the chase, unless a commit intervened; later
-    queries share it.  The served materialization is never consulted and
+    until the next commit.  A session's first use builds its store
+    from the loaded facts; when that is a query, the build runs off
+    the session lock.  The served materialization is never consulted and
     never created: a dormant session stays dormant, so a point query
     neither triggers nor waits on a cold full materialization.
 
@@ -341,9 +343,9 @@ val query :
     [`Unknown_pred] means the predicate does not exist in the session's
     program — a client error.  Contributes [chase_source]
     (["magic"]/["full"]/["edb"]), [cache_hit], [chase_rounds],
-    [chase_facts], [query_base] (["built"] or ["shared"]; not set on an
-    answer-cache hit) and [base_ms] (the build's milliseconds) to the
-    request's wide event and advances the [ekg_query_*] series. *)
+    [chase_facts] and, on the query that builds the store from the
+    loaded facts, [edb_build_ms] to the request's wide event and
+    advances the [ekg_query_*] series. *)
 
 val note_explain : session -> unit
 (** Bump the session's explanation-request counter. *)
@@ -356,6 +358,5 @@ val last_trace : session -> Ekg_obs.Trace.span option
 
 val session_json : session -> Json.t
 (** Summary document: id, name, goal, rule/fact counts, cache state,
-    tier (hot/dormant), update generation, the query base's generation
-    and fact count ([null] until a query builds it), LRU clock — also
-    the per-session record of [GET /v1/debug/sessions]. *)
+    tier (hot/dormant), update generation, LRU clock — also the
+    per-session record of [GET /v1/debug/sessions]. *)

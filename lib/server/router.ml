@@ -110,8 +110,6 @@ let make_state ?root ?(fault = Fault.Off)
         "Point queries that ran a scoped chase (answer cache miss)" );
       ( Registry.query_invalidations_metric,
         "Cached query answers dropped by fact updates" );
-      ( Registry.query_base_builds_metric,
-        "Query bases built from a session's EDB (one per update generation)" );
       ( Registry.query_seconds_metric,
         "Seconds spent answering point queries" );
     ];
@@ -181,8 +179,6 @@ let make_state ?root ?(fault = Fault.Off)
 let registry st = st.registry
 let metrics st = st.metrics
 let obs st = st.obs
-let tracer st = st.tracer
-let log st = st.log
 let runtime st = st.runtime
 let fault st = st.fault
 
@@ -381,24 +377,51 @@ let explanation_preds (atom : Ekg_datalog.Atom.t)
   in
   List.sort_uniq String.compare (atom.Ekg_datalog.Atom.pred :: preds)
 
-let explain st ~trace_id ~deadline_s (session : Registry.session)
-    (req : Http.request) =
-  match Json.parse req.body with
-  | Error e -> Errors.response Errors.Parse_error e
-  | Ok body -> (
-    match Json.mem_str "query" body with
-    | None ->
-      Errors.response Errors.Invalid_request
-        "missing \"query\" field (an atom, e.g. control(\"A\", \"B\"))"
-    | Some query -> (
-      (* parse the atom up front: a syntax error is the caller's fault
-         and must not count as a failed reasoning run *)
-      match Ekg_datalog.Parser.parse_atom query with
-      | Error e -> Errors.response Errors.Invalid_atom ("query: " ^ e)
-      | Ok atom -> (
-        match strategy_of body with
+(* [POST|GET /v1/sessions/:id/explain] share one lane — same atom
+   grammar, same cache, same budgeted materialization — and differ only
+   in how the request is decoded and how the explanation list is
+   wrapped: [POST] answers every explanation with its [count], [GET]
+   one page with [total] and the shared [page] envelope ([page] is the
+   GET's limit and cursor parameters, validated after the strategy). *)
+let explain_lane st ~trace_id ~deadline_s (session : Registry.session) ~missing
+    ~query ~strategy ~page =
+  match query with
+  | None -> Errors.response Errors.Invalid_request missing
+  | Some query -> (
+    (* parse the atom up front: a syntax error is the caller's fault
+       and must not count as a failed reasoning run *)
+    match Ekg_datalog.Parser.parse_atom query with
+    | Error e -> Errors.response Errors.Invalid_atom ("query: " ^ e)
+    | Ok atom -> (
+      match strategy_of_param strategy with
+      | Error e -> Errors.response Errors.Invalid_request e
+      | Ok strategy -> (
+        let listing =
+          match page with
+          | None ->
+            Ok
+              (fun explanations ->
+                [
+                  "count", Json.int (List.length explanations);
+                  ( "explanations",
+                    Json.Arr (List.map explanation_json explanations) );
+                ])
+          | Some (limit, cursor) ->
+            Result.map
+              (fun (limit, offset) explanations ->
+                let total = List.length explanations in
+                let served = page_slice ~limit ~offset explanations in
+                [
+                  "total", Json.int total;
+                  ( "page",
+                    page_json ~total ~limit ~offset ~served:(List.length served) );
+                  "explanations", Json.Arr (List.map explanation_json served);
+                ])
+              (paging ~limit ~cursor)
+        in
+        match listing with
         | Error e -> Errors.response Errors.Invalid_request e
-        | Ok strategy ->
+        | Ok listing -> (
           Registry.note_explain session;
           (* cache key: canonical atom text, so formatting differences
              between equal queries share an entry *)
@@ -409,16 +432,14 @@ let explain st ~trace_id ~deadline_s (session : Registry.session)
             Ekg_obs.Log.Ctx.put "degraded" (Ekg_obs.Log.Bool degraded);
             json_response 200
               (Json.Obj
-                 [
-                   "session", Json.str session.id;
-                   "query", Json.str query;
-                   "trace_id", Json.str trace_id;
-                   "cached", Json.bool cached;
-                   "degraded", Json.bool degraded;
-                   "count", Json.int (List.length explanations);
-                   ( "explanations",
-                     Json.Arr (List.map explanation_json explanations) );
-                 ])
+                 ([
+                    "session", Json.str session.id;
+                    "query", Json.str query;
+                    "trace_id", Json.str trace_id;
+                    "cached", Json.bool cached;
+                    "degraded", Json.bool degraded;
+                  ]
+                 @ listing explanations))
           in
           match Registry.cached_explanations session ~strategy:tag ~query:key with
           | Some explanations -> answer ~cached:true ~degraded:false explanations
@@ -466,92 +487,23 @@ let explain st ~trace_id ~deadline_s (session : Registry.session)
             in
             (* the span is finished (duration set) once with_span returns *)
             Option.iter (Registry.set_trace session) !root;
-            resp)))
+            resp))))
 
-(* [GET /v1/sessions/:id/explain]: the same answers as the POST form —
-   same atom grammar, same cache — paged with the shared envelope *)
-let explain_get st ~trace_id ~deadline_s (session : Registry.session)
-    (req : Http.request) =
+let explain st ~trace_id ~deadline_s session (req : Http.request) =
+  match Json.parse req.body with
+  | Error e -> Errors.response Errors.Parse_error e
+  | Ok body ->
+    explain_lane st ~trace_id ~deadline_s session
+      ~missing:"missing \"query\" field (an atom, e.g. control(\"A\", \"B\"))"
+      ~query:(Json.mem_str "query" body) ~strategy:(Json.mem_str "strategy" body)
+      ~page:None
+
+let explain_get st ~trace_id ~deadline_s session (req : Http.request) =
   let param k = List.assoc_opt k req.query in
-  match param "query" with
-  | None ->
-    Errors.response Errors.Invalid_request
-      "missing \"query\" parameter (an atom, e.g. control(\"A\", X))"
-  | Some query -> (
-    match Ekg_datalog.Parser.parse_atom query with
-    | Error e -> Errors.response Errors.Invalid_atom ("query: " ^ e)
-    | Ok atom -> (
-      match strategy_of_param (param "strategy") with
-      | Error e -> Errors.response Errors.Invalid_request e
-      | Ok strategy -> (
-        match paging ~limit:(param "limit") ~cursor:(param "cursor") with
-        | Error e -> Errors.response Errors.Invalid_request e
-        | Ok (limit, offset) ->
-          Registry.note_explain session;
-          let key = Ekg_datalog.Atom.to_string atom in
-          let tag = strategy_tag strategy in
-          let answer ~cached ~degraded explanations =
-            Ekg_obs.Log.Ctx.put "cache_hit" (Ekg_obs.Log.Bool cached);
-            Ekg_obs.Log.Ctx.put "degraded" (Ekg_obs.Log.Bool degraded);
-            let total = List.length explanations in
-            let served = page_slice ~limit ~offset explanations in
-            json_response 200
-              (Json.Obj
-                 [
-                   "session", Json.str session.id;
-                   "query", Json.str query;
-                   "trace_id", Json.str trace_id;
-                   "cached", Json.bool cached;
-                   "degraded", Json.bool degraded;
-                   "total", Json.int total;
-                   ( "page",
-                     page_json ~total ~limit ~offset
-                       ~served:(List.length served) );
-                   ( "explanations",
-                     Json.Arr (List.map explanation_json served) );
-                 ])
-          in
-          match Registry.cached_explanations session ~strategy:tag ~query:key with
-          | Some explanations -> answer ~cached:true ~degraded:false explanations
-          | None ->
-            let generation = Registry.generation session in
-            let budget = { Chase.unlimited with deadline_s = Some deadline_s } in
-            let degrade () = Ekg_obs.Clock.now_s () >= deadline_s in
-            let root = ref None in
-            let resp =
-              Ekg_obs.Trace.with_span st.tracer
-                ~labels:
-                  [
-                    "trace_id", trace_id;
-                    "session", session.id;
-                    "query", query;
-                  ]
-                "explain-request"
-              @@ fun span ->
-              root := Some span;
-              match
-                Ekg_obs.Trace.with_span st.tracer ~parent:span "chase"
-                  (fun chase_span ->
-                    Registry.materialize ~budget ~tracer:st.tracer
-                      ~parent:chase_span st.registry session)
-              with
-              | Error err -> chase_error_response st err
-              | Ok result -> (
-                match
-                  Pipeline.explain_atom_budgeted ~strategy ~degrade
-                    ~obs:st.tracer ~parent:span session.pipeline result atom
-                with
-                | Error e -> Errors.response Errors.No_explanation e
-                | Ok (explanations, degraded) ->
-                  if not degraded then
-                    Registry.cache_explanations session ~generation
-                      ~strategy:tag ~query:key
-                      ~preds:(explanation_preds atom explanations)
-                      explanations;
-                  answer ~cached:false ~degraded explanations)
-            in
-            Option.iter (Registry.set_trace session) !root;
-            resp)))
+  explain_lane st ~trace_id ~deadline_s session
+    ~missing:"missing \"query\" parameter (an atom, e.g. control(\"A\", X))"
+    ~query:(param "query") ~strategy:(param "strategy")
+    ~page:(Some (param "limit", param "cursor"))
 
 (* --- the goal-directed query lane --------------------------------------------
 
@@ -1131,8 +1083,7 @@ let wide_defaults =
     "chase_rounds", Ekg_obs.Log.Int 0;
     "chase_facts", Ekg_obs.Log.Int 0;
     "plan_reorders", Ekg_obs.Log.Int 0;
-    "query_base", Ekg_obs.Log.Str "none";
-    "base_ms", Ekg_obs.Log.Float 0.;
+    "edb_build_ms", Ekg_obs.Log.Float 0.;
     "snapshot_scheduled", Ekg_obs.Log.Bool false;
     "shed", Ekg_obs.Log.Bool false;
   ]

@@ -89,15 +89,6 @@ val obs : state -> Ekg_obs.Metrics.t
 (** The chase/pipeline-stage series appended to the Prometheus
     exposition. *)
 
-val tracer : state -> Ekg_obs.Trace.t
-(** The request tracer (ring buffer of recent explain traces). *)
-
-val log : state -> Ekg_obs.Log.t
-(** The structured logger receiving one wide event per request.
-    Defaults to a sink-less logger that still feeds the slow-request
-    ring; pass [?log] to {!make_state} (the [--log-file] flag) to
-    write JSONL. *)
-
 val runtime : state -> Ekg_obs.Runtime.t
 (** The runtime sampler (created stopped; the daemon {!Ekg_obs.Runtime.start}s
     it, and [GET /v1/debug/runtime] drives a synchronous pass either way).

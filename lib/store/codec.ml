@@ -1,4 +1,3 @@
-open Ekg_datalog
 open Ekg_engine
 
 type spec =
@@ -13,7 +12,7 @@ type t = {
   program_hash : string;
   update_gen : int;
   created_at : float;
-  edb : Atom.t list;
+  edb : Database.t;
   mat : Chase.result option;
 }
 
@@ -121,23 +120,22 @@ let r_spec r =
     Inline { program; glossary }
   | n -> raise (Wire.Corrupt (Printf.sprintf "spec tag %d" n))
 
-let w_atom b (a : Atom.t) =
-  Wire.w_string b a.Atom.pred;
-  Wire.w_int b (List.length a.Atom.args);
-  List.iter
-    (function
-      | Term.Cst v -> Wire.w_value b v
-      | Term.Var _ -> raise (Wire.Corrupt "non-ground EDB atom"))
-    a.Atom.args
+(* an EDB fact is written as the atom it stands for: predicate, arity,
+   values (a test pins this layout: older snapshots must decode) *)
+let w_fact b (f : Fact.t) =
+  Wire.w_string b f.Fact.pred;
+  Wire.w_int b (Array.length f.Fact.args);
+  Array.iter (Wire.w_value b) f.Fact.args
 
-let r_atom r =
+let r_fact_into r db =
   let pred = Wire.r_string r in
   let n = Wire.r_int r in
   if n < 0 then raise (Wire.Corrupt "negative atom arity");
-  let rec go n acc =
-    if n = 0 then List.rev acc else go (n - 1) (Term.Cst (Wire.r_value r) :: acc)
-  in
-  Atom.make pred (go n [])
+  let args = Array.make n (Ekg_kernel.Value.Int 0) in
+  for i = 0 to n - 1 do
+    args.(i) <- Wire.r_value r
+  done;
+  ignore (Database.add db pred args)
 
 let fingerprint_hex db = Digest.to_hex (Digest.string (Database.fingerprint db))
 
@@ -154,8 +152,9 @@ let encode snap =
   (match snap.mat with
   | None -> Wire.w_string meta ""
   | Some mat -> Wire.w_string meta (fingerprint_hex mat.Chase.db));
-  Wire.w_int meta (List.length snap.edb);
-  List.iter (w_atom meta) snap.edb;
+  let edb = Database.active_all snap.edb in
+  Wire.w_int meta (List.length edb);
+  List.iter (w_fact meta) edb;
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   Wire.w_int b format_version;
@@ -192,8 +191,11 @@ let decode_meta_section mr =
   let fingerprint = Wire.r_string mr in
   let n = Wire.r_int mr in
   if n < 0 then raise (Wire.Corrupt "negative EDB size");
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (r_atom mr :: acc) in
-  let edb = go n [] in
+  let edb = Database.create () in
+  for _ = 1 to n do
+    r_fact_into mr edb
+  done;
+  Database.freeze edb;
   if Wire.remaining mr <> 0 then raise (Wire.Corrupt "trailing bytes in meta");
   ( { id; name; spec; program_hash; update_gen; created_at; edb; mat = None },
     fingerprint )

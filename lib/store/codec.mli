@@ -3,14 +3,14 @@
     A snapshot is the full durable closure of one registry session:
     its identity (id, name, creation spec), the program identity hash
     ({!Ekg_core.Pipeline.identity}), the live-update generation, the
-    extensional-base mirror, and — when the session was materialized —
+    extensional store, and — when the session was materialized —
     the complete chase result (database, provenance, round counts) via
     the engine's codec hooks ({!Ekg_engine.Database.encode} and
     friends).
 
     The byte layout is a magic tag, a format version, then two
     independently length-prefixed and checksummed sections: {e meta}
-    (identity + EDB mirror — everything startup recovery needs) and
+    (identity + EDB — everything startup recovery needs) and
     {e materialization} (the expensive part, absent for dormant
     sessions).  {!decode_meta} reads and validates only the first
     section, so a recovery scan over thousands of snapshots never
@@ -23,7 +23,6 @@
     Every failure mode is a typed {!error}; no exception escapes
     {!decode}/{!decode_meta}. *)
 
-open Ekg_datalog
 open Ekg_engine
 
 (** How the session was created — persisted so a restarted daemon can
@@ -43,7 +42,8 @@ type t = {
                                       snapshot captures — warm restore
                                       refuses a stale one *)
   created_at : float;
-  edb : Atom.t list;              (** extensional-base mirror *)
+  edb : Database.t;               (** extensional store (frozen), written
+                                      fact by fact as atoms, in order *)
   mat : Chase.result option;      (** the materialization; [None] for
                                       dormant sessions (and always [None]
                                       from {!decode_meta}) *)

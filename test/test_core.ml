@@ -714,15 +714,26 @@ let query_lane_pipeline =
     (Pipeline.build (parse_exn query_lane_program).program
        Ekg_apps.Company_control.glossary)
 
+(* The same program plus [s0], which derives [company] from a
+   near-total stake: [company] is then both held in the EDB and derived,
+   and it sits on the magic path of every [control] query. *)
+let derived_edb_lane_program = "s0: own(X, Y, S), S > 0.9 -> company(X).\n" ^ query_lane_program
+
+let derived_edb_lane_pipeline =
+  lazy
+    (Pipeline.build (parse_exn derived_edb_lane_program).program
+       Ekg_apps.Company_control.glossary)
+
 (* random own/company/listed EDBs over companies c0..c5 *)
-let ownership_edb_gen =
+let ownership_edb_gen_of stakes =
   let open QCheck2.Gen in
   let company = map (Printf.sprintf "c%d") (int_range 0 5) in
   triple
     (list_size (int_range 0 4) company)
-    (list_size (int_range 1 14)
-       (triple company company (oneofl [ 0.2; 0.3; 0.4; 0.6 ])))
+    (list_size (int_range 1 14) (triple company company (oneofl stakes)))
     (list_size (int_range 0 2) company)
+
+let ownership_edb_gen = ownership_edb_gen_of [ 0.2; 0.3; 0.4; 0.6 ]
 
 let ownership_edb (companies, edges, listed) =
   List.map Ekg_apps.Company_control.company companies
@@ -745,6 +756,15 @@ let lane_queries =
       `Edb, "own", [ c a; c b; v "S" ];
       `Full, "rel", [ c a; v "Z" ];
       `Full, "rel", [ v "X"; c b ];
+    ]
+
+(* and, over [derived_edb_lane_program], the derived-and-EDB predicate *)
+let derived_edb_lane_queries =
+  let c = Term.str and v = Term.var in
+  lane_queries
+  @ [
+      `Magic, Atom.make "company" [ c "c0" ];
+      `Magic, Atom.make "company" [ v "X" ];
     ]
 
 let lane_answers (qr : Pipeline.query_result) =
@@ -807,12 +827,10 @@ let base_digest base =
   ( Digest.string (Buffer.contents b),
     List.map (Ekg_engine.Database.pred_card base) [ "own"; "company"; "listed" ] )
 
-let prop_query_base_equals_cold_chase =
-  QCheck2.Test.make
-    ~name:"query over a shared base = cold full chase (magic/full/edb modes)"
-    ~count:60 ownership_edb_gen
+let query_base_property ~name ~pipeline ~gen ~lane_queries =
+  QCheck2.Test.make ~name ~count:60 gen
     (fun raw ->
-      let pipeline = Lazy.force query_lane_pipeline in
+      let pipeline : Pipeline.t = Lazy.force pipeline in
       let edb = ownership_edb raw in
       let base_of () =
         match Pipeline.edb_base edb with
@@ -879,12 +897,25 @@ let prop_query_base_equals_cold_chase =
       let a1 = Domain.join d1 and a2 = Domain.join d2 in
       a1 = a2 && a1 = List.map (fun (_, q) -> lane_answers (ask base q)) lane_queries)
 
+let prop_query_base_equals_cold_chase =
+  query_base_property
+    ~name:"query over a shared base = cold full chase (magic/full/edb modes)"
+    ~pipeline:query_lane_pipeline ~gen:ownership_edb_gen ~lane_queries
+
+let prop_query_base_derived_edb =
+  query_base_property
+    ~name:"query over a shared base = cold full chase (EDB facts of a derived predicate)"
+    ~pipeline:derived_edb_lane_pipeline
+    ~gen:(ownership_edb_gen_of [ 0.2; 0.3; 0.4; 0.6; 0.95 ])
+    ~lane_queries:derived_edb_lane_queries
+
 let core_qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_analysis_invariants;
       prop_random_programs_explain_completely;
       prop_query_base_equals_cold_chase;
+      prop_query_base_derived_edb;
     ]
 
 (* --- termination analysis --------------------------------------------------------------- *)

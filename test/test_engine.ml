@@ -1024,6 +1024,68 @@ let test_magic_unadorn_proof () =
                 (s.Proof.fact :: s.Proof.premises))
             plain.Proof.steps)))
 
+(* Company control plus a rule deriving [company], which the EDB also
+   holds: the magic query must still see the EDB's [company("c0")] *)
+let derived_edb_program =
+  {|
+sigma0: own(X, Y, S), S > 0.9 -> company(X).
+sigma1: own(X, Y, S), S > 0.5 -> control(X, Y).
+sigma2: company(X) -> control(X, X).
+sigma3: control(X, Z), own(Z, Y, S), TS = sum(S), TS > 0.5 -> control(X, Y).
+@goal(control).
+|}
+
+let test_magic_edb_of_derived_pred () =
+  let { Parser.program; _ } = parse_exn derived_edb_program in
+  let edb =
+    [
+      Ekg_apps.Company_control.company "c0";
+      Ekg_apps.Company_control.own "c1" "c2" 0.95;
+    ]
+  in
+  let answers q =
+    match Magic.answer program edb q, Chase.run program edb with
+    | Ok a, Ok full ->
+      check bool' "goal-directed path taken" true a.pruned;
+      let sorted l = List.sort String.compare (List.map Fact.to_string l) in
+      let full_answers = sorted (List.map fst (Query.ask full.db q)) in
+      check (Alcotest.list string') ("magic = full for " ^ Atom.to_string q)
+        full_answers (sorted a.facts);
+      full_answers
+    | Error e, _ | _, Error e -> Alcotest.fail e
+  in
+  check (Alcotest.list string') "the EDB's company fact reaches control"
+    [ {|control("c0", "c0")|} ]
+    (answers (Atom.make "control" [ Term.str "c0"; Term.var "X" ]));
+  check int' "derived and EDB company facts both answer" 2
+    (List.length (answers (Atom.make "company" [ Term.var "X" ])));
+  (* the proof: the copied fact is an extensional leaf, as in the full
+     chase, and a copied goal has nothing to explain *)
+  let proof_of q =
+    match Magic.specialize program ~pred:q.Atom.pred ~mask:(Magic.adornment q) with
+    | Error e -> Alcotest.fail e
+    | Ok sp -> (
+      match Chase.run sp.Magic.sp_program (edb @ Magic.seeds sp q) with
+      | Error e -> Alcotest.fail e
+      | Ok res -> (
+        match Query.ask res.db (Magic.goal_atom sp q) with
+        | [ (f, _) ] -> (
+          match Proof.of_fact res.db res.prov f with
+          | Some proof -> Magic.unadorn_proof sp proof
+          | None -> Alcotest.fail "the scoped answer has no proof")
+        | l -> Alcotest.failf "%d scoped answers" (List.length l)))
+  in
+  let control = proof_of (Atom.make "control" [ Term.str "c0"; Term.str "c0" ]) in
+  check (Alcotest.list string') "one sigma2 step over the EDB fact"
+    [ {|sigma2: control("c0", "c0") <= company("c0")|} ]
+    (List.map
+       (fun (s : Proof.step) ->
+         Printf.sprintf "%s: %s <= %s" s.Proof.rule_id (Fact.to_string s.Proof.fact)
+           (String.concat ", " (List.map Fact.to_string s.Proof.premises)))
+       control.Proof.steps);
+  check int' "a copied goal has no step" 0
+    (Proof.length (proof_of (Atom.make "company" [ Term.str "c0" ])))
+
 let prop_magic_equals_full_chase =
   QCheck2.Test.make ~name:"magic answers = full-chase answers" ~count:100
     QCheck2.Gen.(
@@ -2492,6 +2554,8 @@ let () =
           Alcotest.test_case "existential heads fall back" `Quick
             test_magic_existential_falls_back;
           Alcotest.test_case "unadorn proof" `Quick test_magic_unadorn_proof;
+          Alcotest.test_case "EDB facts of a derived predicate" `Quick
+            test_magic_edb_of_derived_pred;
         ] );
       ( "io",
         [

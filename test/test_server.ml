@@ -981,14 +981,21 @@ let test_registry_failed_update_keeps_snapshot () =
     check string' "served snapshot identical after the failed update" before
       (Ekg_engine.Database.fingerprint r.Ekg_engine.Chase.db)
 
+(* the session's EDB, one rendered fact per entry, in store order *)
+let edb_texts (session : Registry.session) =
+  match session.Registry.edb with
+  | Registry.Loaded atoms -> List.map Ekg_datalog.Atom.to_string atoms
+  | Registry.Store db ->
+    List.map Ekg_engine.Fact.to_string (Ekg_engine.Database.active_all db)
+
 let test_registry_duplicate_add_deduped () =
-  (* the dormant mirror's hashed dedupe keeps the list semantics: a
-     repeat inside one request and an atom already in the EDB add
-     nothing, and a retract naming a missing fact changes nothing *)
+  (* the dormant update keeps the EDB's order and dedupes: a repeat
+     inside one request and an atom already in the EDB add nothing,
+     and a retract naming a missing fact changes nothing *)
   let reg = Registry.create (Metrics.create ()) in
   let session = registry_inline_session reg closure_program in
   let cd = parse_atom_exn {|e("c", "d")|} and ab = parse_atom_exn {|e("a", "b")|} in
-  let mirror () = List.map Ekg_datalog.Atom.to_string session.Registry.edb in
+  let mirror () = edb_texts session in
   let update op atoms =
     match Registry.update_facts reg session op atoms with
     | Ok upd -> upd
@@ -996,7 +1003,7 @@ let test_registry_duplicate_add_deduped () =
   in
   let upd = update `Add [ cd; ab; cd ] in
   check int' "repeat and existing atom add one fact" 1 upd.Ekg_engine.Chase.upd_added;
-  check (Alcotest.list string') "mirror order kept, no duplicates"
+  check (Alcotest.list string') "store order kept, no duplicates"
     [ {|e("a", "b")|}; {|e("b", "c")|}; {|e("c", "d")|} ]
     (mirror ());
   check int' "re-adding is a no-op" 0 (update `Add [ cd ]).Ekg_engine.Chase.upd_added;
@@ -1006,11 +1013,11 @@ let test_registry_duplicate_add_deduped () =
     check bool' "names the missing fact" true (contains msg {|e("x", "y")|})
   | Error e -> Alcotest.failf "wrong error: %s" (Ekg_engine.Chase.error_to_string e)
   | Ok _ -> Alcotest.fail "retracting a missing fact succeeded");
-  check int' "failed retract left the mirror" 3 (List.length (mirror ()));
+  check int' "failed retract left the store" 3 (List.length (mirror ()));
   check int' "and the generation" gen session.Registry.update_gen;
   let upd = update `Retract [ ab; ab ] in
   check int' "repeated retract removes once" 1 upd.Ekg_engine.Chase.upd_retracted;
-  check (Alcotest.list string') "mirror after retract"
+  check (Alcotest.list string') "store after retract"
     [ {|e("b", "c")|}; {|e("c", "d")|} ]
     (mirror ())
 
@@ -1173,6 +1180,269 @@ let test_persistence_lru_eviction () =
     (Ekg_obs.Metrics.value obs Registry.evictions_metric = Some 2.);
   Registry.stop_persistence reg
 
+(* --- one EDB store per generation ---------------------------------------------- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let body_json (r : Http.response) =
+  match Json.parse r.Http.resp_body with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "body is not json (%s): %s" e r.Http.resp_body
+
+(* A materialization chases an overlay of the session's EDB store: it
+   must serve exactly the instance a chase over the loaded facts did —
+   the full-output digests [scripts/ci.sh] gates and the pinned
+   fact-store wire digests (codec "store wire format pinned"). *)
+let test_registry_bundled_apps_pinned () =
+  let reg = Registry.create (Metrics.create ()) in
+  List.iter
+    (fun (app, fingerprint, wire) ->
+      let session =
+        match Registry.add reg (Registry.App app) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "add %s: %s" app e
+      in
+      let r = materialize_exn reg session in
+      check string' (app ^ " fingerprint") fingerprint
+        (md5 (Ekg_engine.Io.result_to_json r ^ Ekg_engine.Export.chase_graph_dot r));
+      let b = Buffer.create 4096 in
+      Ekg_engine.Database.encode b r.Ekg_engine.Chase.db;
+      check string' (app ^ " store wire digest") wire (md5 (Buffer.contents b)))
+    [
+      ("company-control", "06d605798e09d92f2dec9ac0bb5f700b", "21f74508bb9375aafbafa5661af9046d");
+      ("stress-test", "8d3feae6656b709cf8f620b55fa5c098", "fec811ed629cf25ac7c9e24e17245452");
+      ("close-link", "bea5782cff97f2fb012a6ad6f8633ffa", "cf543cd69ae4e912cd7c18f1afa1d2a2");
+      ("golden-power", "f038631ca1d42d5a1d551ae64f670477", "a1955276207e38dd99163facce1f67b1");
+    ]
+
+(* The snapshot meta section's wire format is pinned: a dormant session
+   whose EDB holds numerically equal [Int]/[Num] values and has had a
+   retraction, snapshotted at a fixed clock, encodes to the bytes
+   recorded when the EDB was still kept as an atom list — and those
+   bytes recover the same EDB and instance. *)
+let pinned_meta_program =
+  {|
+v(X, N) -> w(X, N).
+@goal(w).
+v("a", 1). v("b", 2.5). v("d", 2).
+|}
+
+let pinned_meta_hex =
+  String.concat ""
+    [
+     "454b47534e41503002f8020473310473310284010a7628582c204e29202d3e20";
+     "7728582c204e292e0a40676f616c2877292e0a76282261222c2031292e207628";
+     "2262222c20322e35292e2076282264222c2032292e0a00403665393235656166";
+     "3036306537626439613638643539356332613062626665310600000060b813da";
+     "41000a027604020261000202760402026301000000000000f03f027604020265";
+     "0100000000000008400276040202660100000000000000400276040202620100";
+     "00000000000440d5412b03d3c5a8ea00";
+    ]
+
+let pinned_meta_session reg =
+  let session = registry_inline_session reg pinned_meta_program in
+  let update op facts =
+    match Registry.update_facts reg session op (List.map parse_atom_exn facts) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "update: %s" (Ekg_engine.Chase.error_to_string e)
+  in
+  update `Add [ {|v("c", 1.0)|}; {|v("a", 1.0)|}; {|v("e", 3.0)|}; {|v("c", 1)|} ];
+  update `Retract [ {|v("d", 2.0)|}; {|v("b", 2.5)|} ];
+  update `Add [ {|v("f", 2.0)|}; {|v("b", 2.5)|} ];
+  session
+
+(* a session's EDB as (predicate, values) in order; values compare
+   structurally, so [Int 1] and [Num 1.0] stay apart *)
+let edb_tuples (session : Registry.session) =
+  match session.Registry.edb with
+  | Registry.Loaded atoms ->
+    List.map
+      (fun (a : Ekg_datalog.Atom.t) ->
+        ( a.Ekg_datalog.Atom.pred,
+          Array.of_list
+            (List.map
+               (function
+                 | Ekg_datalog.Term.Cst v -> v
+                 | Ekg_datalog.Term.Var _ -> Alcotest.fail "non-ground EDB atom")
+               a.Ekg_datalog.Atom.args) ))
+      atoms
+  | Registry.Store db ->
+    List.map
+      (fun (f : Ekg_engine.Fact.t) -> (f.Ekg_engine.Fact.pred, f.Ekg_engine.Fact.args))
+      (Ekg_engine.Database.active_all db)
+
+let test_snapshot_meta_pinned () =
+  let bytes_of_hex h =
+    String.init (String.length h / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+  in
+  let parent_bytes = bytes_of_hex pinned_meta_hex in
+  check string' "the recorded bytes" "aa78760ec71ebd4ea94fe59bf8c2acbb" (md5 parent_bytes);
+  let reg = Registry.create (Metrics.create ()) in
+  let session = pinned_meta_session reg in
+  let edb =
+    match session.Registry.edb with
+    | Registry.Store db -> db
+    | Registry.Loaded _ -> Alcotest.fail "an updated session holds a store"
+  in
+  let bytes =
+    Ekg_store.Codec.encode
+      {
+        Ekg_store.Codec.id = session.Registry.id;
+        name = session.Registry.name;
+        spec = Ekg_store.Codec.Inline { program = pinned_meta_program; glossary = None };
+        program_hash = session.Registry.program_hash;
+        update_gen = session.Registry.update_gen;
+        created_at = 1.75e9;
+        edb;
+        mat = None;
+      }
+  in
+  check string' "meta section digest unchanged" (md5 parent_bytes) (md5 bytes);
+  let live_fp =
+    Ekg_engine.Database.fingerprint (materialize_exn reg session).Ekg_engine.Chase.db
+  in
+  check string' "the instance recorded with the bytes" "8c7df40c91d41dcc73d7b190140f5f5c"
+    (md5 live_fp);
+  (* a daemon restarting over the recorded file recovers the same EDB,
+     in the same order, and chases the same instance *)
+  with_store_dir @@ fun dir ->
+  let store = open_store_exn dir in
+  Out_channel.with_open_bin (Filename.concat dir (session.Registry.id ^ ".snap"))
+    (fun oc -> Out_channel.output_string oc parent_bytes);
+  let reg2 = Registry.create ~store (Metrics.create ()) in
+  match Registry.recover reg2 with
+  | [ recovered ], [] ->
+    check bool' "same EDB, same order, same values" true
+      (edb_tuples recovered = edb_tuples session);
+    check int' "same generation" session.Registry.update_gen recovered.Registry.update_gen;
+    check string' "same instance" live_fp
+      (Ekg_engine.Database.fingerprint (materialize_exn reg2 recovered).Ekg_engine.Chase.db);
+    Registry.stop_persistence reg2
+  | ok, failed ->
+    Alcotest.failf "recovered %d sessions, %d failures" (List.length ok) (List.length failed)
+
+(* Dormant ≡ hot: one random add/retract sequence applied through the
+   router to a session kept dormant and to one kept hot.  After every
+   step both hold the same EDB in the same order, a failed update
+   leaves the generation and the EDB untouched, and both fail alike —
+   except a retraction of a derived fact, which only a materialization
+   can tell from an absent one (400 hot, 404 dormant).  At the end both
+   serve the same /fingerprint. *)
+let company_control_text =
+  {|
+sigma1: own(X, Y, S), S > 0.5 -> control(X, Y).
+sigma2: company(X) -> control(X, X).
+sigma3: control(X, Z), own(Z, Y, S), TS = sum(S), TS > 0.5 -> control(X, Y).
+@goal(control).
+own("c0", "c1", 0.6). own("c1", "c2", 0.3). own("c3", "c2", 1). company("c2").
+|}
+
+let update_ops_gen facts =
+  QCheck2.Gen.(
+    list_size (int_range 1 8)
+      (pair (oneofl [ `Add; `Retract ]) (list_size (int_range 1 3) (oneofl facts))))
+
+let closure_facts =
+  let nodes = [ "a"; "b"; "c"; "d" ] in
+  List.concat_map
+    (fun x ->
+      List.concat_map
+        (fun y -> [ Printf.sprintf {|e("%s", "%s")|} x y; Printf.sprintf {|path("%s", "%s")|} x y ])
+        nodes)
+    nodes
+
+let company_facts =
+  let cs = [ "c0"; "c1"; "c2"; "c3" ] in
+  List.map (Printf.sprintf {|company("%s")|}) cs
+  @ List.concat_map
+      (fun x ->
+        List.concat_map
+          (fun y ->
+            Printf.sprintf {|control("%s", "%s")|} x y
+            :: List.map
+                 (fun w -> Printf.sprintf {|own("%s", "%s", %s)|} x y w)
+                 [ "0.3"; "0.6"; "1"; "1.0" ])
+          cs)
+      cs
+
+let prop_dormant_equals_hot ~name ~program ~facts =
+  QCheck2.Test.make ~name ~count:150 (update_ops_gen facts) (fun ops ->
+      let st = Router.make_state () in
+      let create () =
+        let r =
+          Router.handle st
+            (request ~body:(Json.to_string (Json.Obj [ "program", Json.str program ]))
+               Http.POST [ "v1"; "sessions" ])
+        in
+        match Json.mem_str "id" (body_json r) with
+        | Some id -> (
+          match Registry.find (Router.registry st) id with
+          | Some s -> s
+          | None -> QCheck2.Test.fail_reportf "session %s missing" id)
+        | None -> QCheck2.Test.fail_reportf "create: %d" r.Http.status
+      in
+      let hot = create () and dormant = create () in
+      let fingerprint (s : Registry.session) =
+        Router.handle st (request Http.GET [ "v1"; "sessions"; s.Registry.id; "fingerprint" ])
+      in
+      ignore (fingerprint hot);
+      let store_ptr (s : Registry.session) =
+        match s.Registry.edb with Registry.Store db -> Some db | Registry.Loaded _ -> None
+      in
+      let apply (s : Registry.session) op facts =
+        let before = (s.Registry.update_gen, store_ptr s, edb_tuples s) in
+        let r =
+          Router.handle st
+            (request
+               ~body:
+                 (Json.to_string
+                    (Json.Obj [ "facts", Json.Arr (List.map Json.str facts) ]))
+               (match op with `Add -> Http.POST | `Retract -> Http.DELETE)
+               [ "v1"; "sessions"; s.Registry.id; "facts" ])
+        in
+        (if r.Http.status <> 200 then
+           let gen, ptr, tuples = before in
+           if
+             s.Registry.update_gen <> gen
+             (* loaded facts may get built on first use, but a store
+                already built stays the very same store *)
+             || (match ptr, store_ptr s with
+                | Some a, Some b -> a != b
+                | Some _, None -> true
+                | None, _ -> false)
+             || edb_tuples s <> tuples
+           then
+             QCheck2.Test.fail_reportf "a failed update (%d) changed session %s"
+               r.Http.status s.Registry.id);
+        r.Http.status
+      in
+      List.iter
+        (fun (op, facts) ->
+          let h = apply hot op facts and d = apply dormant op facts in
+          if not (h = d || (op = `Retract && h = 400 && d = 404)) then
+            QCheck2.Test.fail_reportf "%s [%s]: hot %d, dormant %d"
+              (match op with `Add -> "add" | `Retract -> "retract")
+              (String.concat "; " facts) h d;
+          if edb_tuples hot <> edb_tuples dormant then
+            QCheck2.Test.fail_reportf "the EDBs diverged after [%s]" (String.concat "; " facts);
+          if Option.is_some dormant.Registry.chase then
+            QCheck2.Test.fail_reportf "an update materialized the dormant session")
+        ops;
+      let edb_facts (s : Registry.session) = Json.mem_int "edb_facts" (Registry.session_json s) in
+      let fp (s : Registry.session) = Json.mem_str "fingerprint" (body_json (fingerprint s)) in
+      let fh = fp hot and fd = fp dormant in
+      Option.is_some fh && fh = fd && edb_facts hot = edb_facts dormant)
+
+let dormant_hot_qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_dormant_equals_hot ~name:"dormant = hot (closure, incremental)"
+        ~program:closure_program ~facts:closure_facts;
+      prop_dormant_equals_hot ~name:"dormant = hot (company control, re-chase)"
+        ~program:company_control_text ~facts:company_facts;
+    ]
+
 let test_router_delete_session () =
   with_store_dir @@ fun dir ->
   let store = open_store_exn dir in
@@ -1333,7 +1603,7 @@ let wide_event_keys =
     "ts"; "level"; "event"; "duration_ms"; "trace_id"; "method"; "target";
     "endpoint"; "status"; "error_code"; "queue_wait_ms"; "session";
     "cache_hit"; "degraded"; "chase_source"; "chase_rounds"; "chase_facts";
-    "plan_reorders"; "query_base"; "base_ms"; "snapshot_scheduled"; "shed";
+    "plan_reorders"; "edb_build_ms"; "snapshot_scheduled"; "shed";
     "gc_minor_collections";
     "gc_major_collections"; "gc_promoted_words"; "gc_minor_words";
   ]
@@ -1587,26 +1857,37 @@ let test_query_cache_semantics () =
     (advanced "ekg_query_cache_invalidations_total")
 
 let test_query_base_lifecycle () =
-  (* one base per update generation: built by the generation's first
-     uncached query, shared by the next, dropped with every cached
-     answer by a commit, and visible in the wide event,
-     /v1/debug/sessions and /metrics *)
+  (* one EDB store per update generation: built from the loaded facts
+     by the session's first use (here a query), shared by every later
+     query, replaced by the store a commit derives, and the build
+     reported in the wide event *)
   let st, lines = capturing_state () in
   create_closure_session st;
+  let session =
+    match Registry.find (Router.registry st) "s1" with
+    | Some s -> s
+    | None -> Alcotest.fail "session s1 missing"
+  in
+  let store () =
+    match session.Registry.edb with
+    | Registry.Store db -> Some db
+    | Registry.Loaded _ -> None
+  in
+  let same a b = match a, b with Some x, Some y -> x == y | _ -> false in
   let session_doc () =
     match Json.member "sessions" (json_of (Router.handle st (request Http.GET [ "v1"; "debug"; "sessions" ]))) with
     | Some (Json.Arr [ s ]) -> s
     | _ -> Alcotest.fail "sessions array missing"
   in
-  check bool' "no base at session creation" true
-    (Json.member "query_base" (session_doc ()) = None);
+  check bool' "no store built at session creation" true (store () = None);
+  check bool' "the loaded facts are counted" true
+    (Json.mem_int "edb_facts" (session_doc ()) = Some 2);
   let ask q = check int' ("query " ^ q) 200 (query_get st "s1" [ "query", q ]).Http.status in
   ask {|path("a", X)|};
+  let first = store () in
+  check bool' "the first query built the store" true (Option.is_some first);
   ask {|path("b", X)|};
-  let base = Json.member "query_base" (session_doc ()) in
-  check bool' "debug sessions reports the base's generation" true
-    (Option.bind base (Json.mem_int "update_gen") = Some 0);
-  check bool' "and its fact count" true (Option.bind base (Json.mem_int "facts") = Some 2);
+  check bool' "the second query shared it" true (same (store ()) first);
   check bool' "two answers cached" true (Json.mem_int "cached_queries" (session_doc ()) = Some 2);
   let added =
     Router.handle st
@@ -1617,31 +1898,41 @@ let test_query_base_lifecycle () =
   let doc = session_doc () in
   check bool' "the commit dropped every cached answer" true
     (Json.mem_int "cached_queries" doc = Some 0);
-  check bool' "and the base" true (Json.member "query_base" doc = None);
+  check bool' "and installed the next generation's store" true
+    ((not (same (store ()) first)) && Json.mem_int "edb_facts" doc = Some 3);
+  let committed = store () in
   ask {|path("a", X)|};
+  check bool' "queries read the committed store" true (same (store ()) committed);
   let prom =
     Router.handle st
       (request ~query:[ "format", "prometheus" ] Http.GET [ "v1"; "metrics" ])
   in
-  check bool' "two base builds counted" true
-    (contains prom.Http.resp_body "ekg_query_base_builds_total 2\n");
+  check bool' "no per-generation base series" false
+    (contains prom.Http.resp_body "ekg_query_base_builds_total");
   check bool' "both cached answers counted as invalidated" true
     (contains prom.Http.resp_body "ekg_query_cache_invalidations_total 2\n");
   let events =
     List.filter_map
       (fun l ->
         match Json.parse l with
-        | Ok j when Json.mem_str "endpoint" j = Some "GET /v1/sessions/:id/query" ->
-          Some (Json.mem_str "query_base" j, Json.member "base_ms" j)
+        | Ok j when Json.mem_str "session" j = Some "s1" ->
+          Some (Json.mem_str "endpoint" j, Json.member "edb_build_ms" j)
         | _ -> None)
       (lines ())
   in
-  let built_ms = function Some (Json.Num ms) -> ms > 0. | _ -> false in
-  match events with
-  | [ (Some "built", b1); (Some "shared", s); (Some "built", b2) ] ->
-    check bool' "builds report their milliseconds" true (built_ms b1 && built_ms b2);
-    check bool' "a shared base costs none" true (s = Some (Json.Num 0.))
-  | _ -> Alcotest.failf "unexpected query_base sequence (%d query events)" (List.length events)
+  let built = function Some (Json.Num ms) -> ms > 0. | _ -> false in
+  let query = Some "GET /v1/sessions/:id/query" in
+  match
+    List.filter (fun (e, _) -> e = query || e = Some "POST /v1/sessions/:id/facts") events
+  with
+  | [ (q1, b1); (q2, s2); (u, bu); (q3, s3) ] ->
+    check bool' "query, query, update, query" true
+      (q1 = query && q2 = query && u <> query && q3 = query);
+    check bool' "the first use and the commit report their builds" true
+      (built b1 && built bu);
+    check bool' "a shared store costs none" true
+      (s2 = Some (Json.Num 0.) && s3 = Some (Json.Num 0.))
+  | _ -> Alcotest.failf "unexpected event sequence (%d events)" (List.length events)
 
 let test_query_dormant_stays_dormant () =
   (* the whole point of the lane: a point query against a session whose
@@ -2319,7 +2610,13 @@ let () =
             test_router_delete_session;
           Alcotest.test_case "DELETE without a store" `Quick
             test_router_delete_without_store;
+          Alcotest.test_case "snapshot meta wire format pinned" `Quick
+            test_snapshot_meta_pinned;
         ] );
+      ( "edb store",
+        Alcotest.test_case "bundled apps through an overlay materialization" `Quick
+          test_registry_bundled_apps_pinned
+        :: dormant_hot_qsuite );
       ( "debug endpoints",
         [
           Alcotest.test_case "runtime" `Quick test_debug_runtime_endpoint;
